@@ -1,30 +1,5 @@
 """Trivariate partition-of-unity RBF interpolation with cube-partition search."""
 
-from .bench import (
-    ExperimentResult,
-    ExperimentSpec,
-    SweepResult,
-    compare_search,
-    eval_grid,
-    f1,
-    f2,
-    rmse,
-    run_experiment,
-    sweep_shape,
-)
-from .cube_index import (
-    BruteForceIndex,
-    CellId,
-    CubeIndex,
-    GridParams,
-    build,
-    brute_force_index,
-    cell_of,
-    count_nonempty_cells,
-    grid_from_radius,
-    neighbor_cell_range,
-    radius_query,
-)
 from .errors import (
     DegenerateGridWarning,
     EmptySubdomainError,
@@ -33,33 +8,17 @@ from .errors import (
     PointFileError,
     RadiusTooLargeError,
     SingularSystemError,
-    UncoveredPointError,
     UsageError,
 )
-from .geometry import UNIT_CUBE, DataSite, Point3, UnitCube, contains, squared_distance
-from .halton import HaltonConfig, generate, radical_inverse
 from .pu import (
     PUConfig,
-    PUModel,
-    Subdomain,
-    covering_subdomains,
     evaluate,
     evaluate_batch,
     evaluate_report,
     fit,
     fit_geometry,
     refit_kernel,
-    shepard_weights,
-    subdomain_radius,
 )
-from .rbf import (
-    KernelSpec,
-    LocalCoefficients,
-    LocalSystem,
-    assemble,
-    evaluate_local,
-    kernel_value,
-    solve_local,
-)
+from .rbf import KernelSpec
 
 __version__ = "0.1.0"

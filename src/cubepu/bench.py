@@ -106,7 +106,6 @@ class ExperimentResult:
     n: int
     d: int
     q: int        # rounded-up cell count, as benchmark tables quote it
-    q_used: int   # floor-rule count the search actually ran with
     kernel: str
     shape: float
     function: str
@@ -139,20 +138,17 @@ def _pu_config(spec, shape):
 
 
 def _result(spec, shape, model, report, truth, fit_s, eval_s):
-    err = np.abs(report.values - truth)
-    params = grid_from_radius(model.radius)
     return ExperimentResult(
         n=spec.node_count,
         d=spec.subdomain_count,
-        q=params.q_ceil,
-        q_used=params.q,
+        q=grid_from_radius(model.radius).q_ceil,
         kernel=spec.kernel_family,
         shape=float(shape),
         function=spec.function,
         m_max=spec.m_max,
         mode=spec.search,
-        rmse=float(np.sqrt(np.mean(err * err))),
-        max_abs_error=float(err.max()),
+        rmse=rmse(truth, report.values),
+        max_abs_error=float(np.abs(report.values - truth).max()),
         fit_seconds=fit_s,
         eval_seconds=eval_s,
         total_seconds=fit_s + eval_s,
@@ -208,14 +204,15 @@ def sweep_shape(spec):
 
     curve = []
     results = []
-    for i, s in enumerate(shapes):
+    for s in shapes:
         t1 = time.perf_counter()
         try:
             model = pu.refit_kernel(geometry, KernelSpec(spec.kernel_family, float(s)))
         except SingularSystemError:
             curve.append((float(s), float("inf")))
             continue
-        fit_s = (capture_s if i == 0 else 0.0) + time.perf_counter() - t1
+        # the first shape that solves carries the shared capture time
+        fit_s = (0.0 if results else capture_s) + time.perf_counter() - t1
         t2 = time.perf_counter()
         report = pu.evaluate_report(model, grid)
         eval_s = time.perf_counter() - t2

@@ -31,10 +31,8 @@ from .errors import (
     PointFileError,
     RadiusTooLargeError,
     SingularSystemError,
-    UncoveredPointError,
     UsageError,
 )
-from .geometry import DataSite, Point3
 from .halton import HaltonConfig, generate
 from .rbf import KERNEL_FAMILIES, KernelSpec
 
@@ -122,13 +120,14 @@ def parse_shape_range(text):
 
 
 def read_points(path):
-    """Parse a point file into Point3 (3 columns) or DataSite (4 columns) rows.
+    """Parse a point file into (points, values): an (n, 3) array and, for a
+    4-column file, the (n,) array of values, else None.
 
     Blank lines and `#` comments are skipped.  The first data row fixes the
     column count; mixed arity, non-numeric or non-finite fields, and
     coordinates outside [0, 1]^3 all raise with the offending line number.
     """
-    out = []
+    rows = []
     arity = None
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -160,9 +159,9 @@ def read_points(path):
                 raise PointFileError(
                     path, line_no, f"coordinate outside the unit cube: ({x}, {y}, {z})"
                 )
-            p = Point3(x, y, z)
-            out.append(DataSite(p, nums[3]) if arity == 4 else p)
-    return out
+            rows.append(nums)
+    data = np.array(rows, dtype=np.float64).reshape(-1, arity or 3)
+    return data[:, :3], (data[:, 3] if arity == 4 else None)
 
 
 def _is_float(token):
@@ -180,14 +179,10 @@ def load_point_source(source, what="points"):
         return generate(HaltonConfig(arg)), None
     if kind == "grid":
         return bench.eval_grid(arg), None
-    rows = read_points(arg)
-    if not rows:
+    pts, vals = read_points(arg)
+    if pts.shape[0] == 0:
         raise PointFileError(arg, 0, f"no {what} in file")
-    if isinstance(rows[0], DataSite):
-        pts = np.array([r.position for r in rows])
-        vals = np.array([r.value for r in rows])
-        return pts, vals
-    return np.array(rows, dtype=np.float64), None
+    return pts, vals
 
 
 def _num(v):
@@ -487,8 +482,7 @@ def main(argv=None):
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 2
-    except (EmptySubdomainError, SingularSystemError, RadiusTooLargeError,
-            UncoveredPointError) as e:
+    except (EmptySubdomainError, SingularSystemError, RadiusTooLargeError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
 

@@ -2,8 +2,9 @@
 
 The unit cube is split into q^3 cells of side 1/q.  Points are bucketed by
 cell and stored as one permutation array ordered by (cell_w, cell_v, cell_u),
-with begin/end offsets per cell, so a query inspects at most (2*i_star + 1)^3
-cells and reads each (w, v)-run of cells as a single contiguous slice.
+with begin/end offsets per cell, so a query inspects at most the 3^3 = 27
+cells around its own and reads each (w, v)-run of cells as a single
+contiguous slice.
 
 Choosing q = floor(1/radius) (never rounding up) keeps cube_side >= radius,
 which is what makes the one-cell halo sufficient: every point within `radius`
@@ -14,7 +15,6 @@ neighbors.  The rounded-up count is kept alongside for benchmark reporting.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,19 +22,10 @@ from .errors import DegenerateGridWarning, RadiusTooLargeError
 from .geometry import as_point_array, ensure_in_unit_cube
 
 
-class CellId(NamedTuple):
-    """1-based cell coordinates along x, y, z."""
-
-    u: int
-    v: int
-    w: int
-
-
 @dataclass(frozen=True)
 class GridParams:
     cube_side: float
     q: int
-    i_star: int = 1
     q_ceil: int | None = None  # rounded-up cell count, for table reporting only
 
     def __post_init__(self):
@@ -42,13 +33,11 @@ class GridParams:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if not self.cube_side > 0.0:
             raise ValueError(f"cube_side must be positive, got {self.cube_side}")
-        if self.i_star < 1:
-            raise ValueError(f"i_star must be >= 1, got {self.i_star}")
 
 
 def grid_from_radius(radius):
     """Pick grid parameters so that a radius-`radius` query is answered by the
-    (2*i_star + 1)^3 halo exactly.
+    one-cell halo exactly.
 
     q = floor(1/radius), clamped to >= 1 and nudged down if floating-point
     rounding ever left 1/q below the radius.  A radius above 1 degenerates to
@@ -69,7 +58,7 @@ def grid_from_radius(radius):
             DegenerateGridWarning,
             stacklevel=2,
         )
-    return GridParams(cube_side=1.0 / q, q=q, i_star=1, q_ceil=q_ceil)
+    return GridParams(cube_side=1.0 / q, q=q, q_ceil=q_ceil)
 
 
 def _cells0(params, pts):
@@ -79,19 +68,10 @@ def _cells0(params, pts):
     return np.minimum(scaled, params.q - 1)
 
 
-def cell_of(params, p):
-    """The 1-based CellId containing a single point."""
-    c = _cells0(params, as_point_array(p))[0]
-    return CellId(int(c[0]) + 1, int(c[1]) + 1, int(c[2]) + 1)
-
-
-def neighbor_cell_range(params, cell):
-    """Inclusive (first, last) corners of the halo around `cell`, clamped to
-    the grid."""
-    q, i = params.q, params.i_star
-    first = CellId(*(max(1, c - i) for c in cell))
-    last = CellId(*(min(q, c + i) for c in cell))
-    return first, last
+def _halo(params, cell):
+    """Inclusive 0-based (first, last) corners of the one-cell halo around
+    `cell`, clamped to the grid."""
+    return np.maximum(cell - 1, 0), np.minimum(cell + 1, params.q - 1)
 
 
 @dataclass
@@ -104,7 +84,43 @@ class CubeIndex:
     cell_offsets: np.ndarray  # (q^3 + 1,) begin/end positions per flattened cell
 
     def query(self, center, radius):
-        return radius_query(self, center, radius)
+        """Ids of all stored points within `radius` (inclusive) of `center`,
+        ascending.
+
+        Exactness requires the halo to reach the whole ball: either
+        radius <= cube_side, or the clamped halo already spans every cell
+        (the degenerate small-q case).  Anything else raises.
+        """
+        params = self.params
+        if not (radius >= 0.0 and math.isfinite(radius)):
+            raise ValueError(f"radius must be finite and >= 0, got {radius}")
+        c = as_point_array(center)
+        ensure_in_unit_cube(c, "query center")
+        q = params.q
+        lo, hi = _halo(params, _cells0(params, c)[0])
+        if radius > params.cube_side:
+            spans_all = (lo == 0).all() and (hi == q - 1).all()
+            if not spans_all:
+                raise RadiusTooLargeError(
+                    f"radius {radius} exceeds cube_side = {params.cube_side}; "
+                    f"halo would miss points"
+                )
+
+        offs = self.cell_offsets
+        perm = self.permutation
+        runs = []
+        for w in range(lo[2], hi[2] + 1):
+            for v in range(lo[1], hi[1] + 1):
+                base = (w * q + v) * q
+                runs.append(perm[offs[base + lo[0]]: offs[base + hi[0] + 1]])
+        cand = np.concatenate(runs)
+        if cand.size == 0:
+            return cand
+        diff = self.points[cand] - c[0]
+        inside = (diff * diff).sum(axis=1) <= radius * radius
+        out = cand[inside]
+        out.sort()
+        return out
 
 
 def build(points, params):
@@ -124,53 +140,6 @@ def build(points, params):
     offsets = np.zeros(q ** 3 + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return CubeIndex(params=params, points=pts, permutation=perm, cell_offsets=offsets)
-
-
-def radius_query(index, center, radius):
-    """Ids of all stored points within `radius` (inclusive) of `center`,
-    ascending.
-
-    Exactness requires the halo to reach the whole ball: either
-    radius <= i_star * cube_side, or the clamped halo already spans every
-    cell (the degenerate small-q case).  Anything else raises.
-    """
-    params = index.params
-    if not (radius >= 0.0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be finite and >= 0, got {radius}")
-    c = as_point_array(center)
-    ensure_in_unit_cube(c, "query center")
-    q = params.q
-    c0 = _cells0(params, c)[0]
-    lo = np.maximum(c0 - params.i_star, 0)
-    hi = np.minimum(c0 + params.i_star, q - 1)
-    if radius > params.i_star * params.cube_side:
-        spans_all = (lo == 0).all() and (hi == q - 1).all()
-        if not spans_all:
-            raise RadiusTooLargeError(
-                f"radius {radius} exceeds i_star * cube_side = "
-                f"{params.i_star * params.cube_side}; halo would miss points"
-            )
-
-    offs = index.cell_offsets
-    perm = index.permutation
-    runs = []
-    for w in range(lo[2], hi[2] + 1):
-        for v in range(lo[1], hi[1] + 1):
-            base = (w * q + v) * q
-            runs.append(perm[offs[base + lo[0]]: offs[base + hi[0] + 1]])
-    cand = np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
-    if cand.size == 0:
-        return cand
-    diff = index.points[cand] - c[0]
-    inside = (diff * diff).sum(axis=1) <= radius * radius
-    out = cand[inside]
-    out.sort()
-    return out
-
-
-def count_nonempty_cells(index):
-    """How many cells hold at least one point."""
-    return int((np.diff(index.cell_offsets) > 0).sum())
 
 
 @dataclass

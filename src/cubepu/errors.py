@@ -52,9 +52,5 @@ class SingularSystemError(InterpolationError):
         self.size = size
 
 
-class UncoveredPointError(InterpolationError):
-    """Asked for blending weights at a point no subdomain covers."""
-
-
 class DegenerateGridWarning(UserWarning):
     """Search radius spans the whole domain; the grid degenerates to one cell."""

@@ -1,52 +1,11 @@
-"""Small value types and helpers for points in the closed unit cube.
+"""Validation and coercion for points in the closed unit cube.
 
-Everything downstream works on float64 arrays of shape (n, 3); the named
-tuples here are the scalar-friendly faces of the same data for tests and
-file IO.
+Everything downstream works on float64 arrays of shape (n, 3).
 """
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfDomainError
-
-
-class Point3(NamedTuple):
-    x: float
-    y: float
-    z: float
-
-
-class DataSite(NamedTuple):
-    """A sample location together with the function value carried there."""
-
-    position: Point3
-    value: float
-
-
-@dataclass(frozen=True)
-class UnitCube:
-    """Axis-aligned closed box; the default is Omega = [0, 1]^3."""
-
-    lo: Point3 = Point3(0.0, 0.0, 0.0)
-    hi: Point3 = Point3(1.0, 1.0, 1.0)
-
-
-UNIT_CUBE = UnitCube()
-
-
-def squared_distance(a, b):
-    """Squared Euclidean distance between two point-like triples."""
-    return (
-        (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
-    )
-
-
-def contains(cube, p):
-    """True when p lies in the closed box (boundary included)."""
-    return all(cube.lo[i] <= p[i] <= cube.hi[i] for i in range(3))
 
 
 def as_point_array(points):

@@ -9,21 +9,22 @@ captures, and the global surface blends the local ones with inverse-distance
 
 The same cube-partition search answers both capture (nodes near a center)
 and evaluation (centers near a point); a brute-force scan engine is kept as
-the reference path.  Blending accumulates subdomain contributions in
-ascending subdomain order, so results are reproducible bit for bit across
-search engines and batch shapes.
+the reference path.  `blend_weights` gives every evaluation point its
+weights, including a point on a center and a point outside every ball, and
+`evaluate_report` applies them in one loop that accumulates subdomain
+contributions in ascending subdomain order, so results are reproducible bit
+for bit across search engines and batch shapes.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import cube_index, halton
-from .errors import EmptySubdomainError, UncoveredPointError
+from .errors import EmptySubdomainError
 from .geometry import as_point_array, ensure_in_unit_cube
-from .rbf import ILL_CONDITION_LIMIT, KernelSpec, LocalSystem, kernel_value, solve_local
+from .rbf import ILL_CONDITION_LIMIT, KernelSpec, local_values, solve_local
 
 # Primes for the center sequence, disjoint from the node bases (2, 3, 5) so
 # centers never replicate the node layout.
@@ -34,6 +35,11 @@ CENTER_BASES = (7, 11, 13)
 COINCIDENT_TOL = 1e-14
 
 SEARCH_MODES = ("cube", "no_cube")
+
+# evaluate_report blends this many points at a time, which bounds the memory
+# of their (point, subdomain, weight) triples.  Each point still sums in
+# ascending subdomain order, so the block size changes no bit of any value.
+BLEND_BLOCK = 8192
 
 
 def subdomain_radius(subdomain_count):
@@ -182,12 +188,8 @@ def refit_kernel(model, kernel):
     solved = []
     illcond = 0
     for j, sd in enumerate(model.subdomains):
-        system = LocalSystem(
-            points=model.points[sd.node_ids],
-            values=model.values[sd.node_ids],
-            kernel=kernel,
-        )
-        local = solve_local(system, subdomain_id=j)
+        local = solve_local(model.points[sd.node_ids], model.values[sd.node_ids],
+                            kernel, subdomain_id=j)
         if local.condition_estimate >= ILL_CONDITION_LIMIT:
             illcond += 1
         solved.append(replace(sd, coefficients=local))
@@ -209,105 +211,60 @@ def fit(points, values, config, search="cube"):
     return refit_kernel(fit_geometry(points, values, config, search), config.kernel)
 
 
-def covering_subdomains(model, p):
-    """Ascending ids of subdomains whose ball contains p."""
-    return model.center_index.query(p, model.radius)
+def blend_weights(model, p):
+    """Unnormalized Shepard weights of the balls that blend at the point p.
 
-
-def shepard_weights(model, p, covering):
-    """Inverse-distance weights over the covering subdomain ids.
-
-    Normalized over exactly the covering set, so they sum to 1.  A center
-    closer than COINCIDENT_TOL takes an equal share of the whole weight with
-    any other coincident centers, and every ordinary center gets 0.
+    Returns (ids, weights, covered) with ids ascending.  Every ball covering
+    p weighs 1/distance.  Centers closer than COINCIDENT_TOL weigh 1 each and
+    the other covering balls drop out.  An uncovered point (covered False)
+    takes its nearest center, ties to the lower id, with weight 1.
     """
-    covering = np.asarray(covering, dtype=np.int64)
-    if covering.size == 0:
-        raise UncoveredPointError(f"no subdomain covers {tuple(np.asarray(p, float))}")
-    diff = model.centers[covering] - np.asarray(p, dtype=np.float64)
+    ids = model.center_index.query(p, model.radius)
+    if ids.size == 0:
+        diff = model.centers - p
+        return np.array([np.argmin((diff * diff).sum(axis=1))]), np.ones(1), False
+    diff = model.centers[ids] - p
     dist = np.sqrt((diff * diff).sum(axis=1))
     hit = dist < COINCIDENT_TOL
     if hit.any():
-        return hit.astype(np.float64) / hit.sum()
-    inv = 1.0 / dist
-    return inv / inv.sum()
-
-
-def _local_eval(model, j, pts):
-    """R_j at each row of pts (row-wise reduction; see rbf.evaluate_local_many)."""
-    sd = model.subdomains[j]
-    if sd.coefficients is None:
-        raise RuntimeError("model geometry has no solved coefficients yet")
-    sites = model.points[sd.node_ids]
-    k = kernel_value(model.config.kernel, cdist(pts, sites))
-    return (k * sd.coefficients.coefficients).sum(axis=1)
+        return ids[hit], np.ones(int(hit.sum())), True
+    return ids, 1.0 / dist, True
 
 
 def evaluate_report(model, points):
     """Blend the local interpolants at each row of `points`.
 
-    Covered points take the Shepard-weighted combination of their covering
-    subdomains (num/den accumulation, ascending j).  A point lying on one or
-    more centers takes the plain average of those centers' local values.  An
-    uncovered point falls back to its nearest center's local interpolant with
-    full weight; the report counts how often that happened.
+    In each block of BLEND_BLOCK points, the (point, subdomain, weight)
+    triples of `blend_weights` are grouped by subdomain with a stable sort,
+    so each local interpolant is evaluated once over all the points of the
+    block it serves; num and den accumulate in ascending subdomain order and
+    each value is num / den.  The report counts the points no ball covered.
     """
     pts = as_point_array(points)
     ensure_in_unit_cube(pts, "evaluation point")
     k = pts.shape[0]
-    if k == 0:
-        return EvalReport(values=np.zeros(0), uncovered=0)
-
-    d = len(model.subdomains)
-    per_sub_pts = [[] for _ in range(d)]
-    per_sub_w = [[] for _ in range(d)]
-    exact_hits = {}
-    uncovered = []
-    for i in range(k):
-        js = model.center_index.query(pts[i], model.radius)
-        if js.size == 0:
-            uncovered.append(i)
-            continue
-        diff = model.centers[js] - pts[i]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        hit = dist < COINCIDENT_TOL
-        if hit.any():
-            exact_hits[i] = js[hit]
-            continue
-        inv = 1.0 / dist
-        for j, w in zip(js, inv):
-            per_sub_pts[j].append(i)
-            per_sub_w[j].append(w)
-
     num = np.zeros(k)
     den = np.zeros(k)
-    for j in range(d):
-        if not per_sub_pts[j]:
-            continue
-        ii = np.asarray(per_sub_pts[j], dtype=np.int64)
-        w = np.asarray(per_sub_w[j])
-        local = _local_eval(model, j, pts[ii])
-        num[ii] += w * local
-        den[ii] += w
-
-    covered = den > 0.0
-    vals = np.zeros(k)
-    vals[covered] = num[covered] / den[covered]
-
-    one = np.empty((1, 3))
-    for i, js in exact_hits.items():
-        one[0] = pts[i]
-        acc = 0.0
-        for j in js:
-            acc += _local_eval(model, j, one)[0]
-        vals[i] = acc / len(js)
-    for i in uncovered:
-        diff = model.centers - pts[i]
-        j = int(np.argmin((diff * diff).sum(axis=1)))  # ties resolve to the lower id
-        one[0] = pts[i]
-        vals[i] = _local_eval(model, j, one)[0]
-
-    return EvalReport(values=vals, uncovered=len(uncovered))
+    uncovered = 0
+    for first in range(0, k, BLEND_BLOCK):
+        blends = [blend_weights(model, p) for p in pts[first:first + BLEND_BLOCK]]
+        uncovered += sum(not b[2] for b in blends)
+        ids = np.concatenate([b[0] for b in blends])
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        weights = np.concatenate([b[1] for b in blends])[order]
+        owner = first + np.repeat(np.arange(len(blends)), [b[0].size for b in blends])[order]
+        starts = np.flatnonzero(np.diff(ids, prepend=-1))
+        for s, e in zip(starts, np.append(starts[1:], ids.size)):
+            sd = model.subdomains[ids[s]]
+            if sd.coefficients is None:
+                raise RuntimeError("model geometry has no solved coefficients yet")
+            ii, w = owner[s:e], weights[s:e]
+            local = local_values(model.config.kernel, model.points[sd.node_ids],
+                                 sd.coefficients.coefficients, pts[ii])
+            num[ii] += w * local
+            den[ii] += w
+    return EvalReport(values=num / den, uncovered=uncovered)
 
 
 def evaluate_batch(model, points):

@@ -19,6 +19,9 @@ matrix off the cone.  One step of iterative refinement with the saved factor
 tightens the residual at O(m^2) extra cost.  The condition estimate reuses
 the factorization for a LAPACK 1-norm reciprocal-condition estimate: a cheap
 diagnostic for flagging bad systems, not a guarantee.
+
+Sites, values and coefficients travel as plain arrays; `local_values` is the
+one evaluator of a solved local interpolant.
 """
 
 import warnings
@@ -65,50 +68,27 @@ def kernel_value(spec, r):
     return out if out.ndim else float(out)
 
 
-def kernel_at_zero(spec):
-    return kernel_value(spec, 0.0)
-
-
-@dataclass(frozen=True)
-class LocalSystem:
-    """One subdomain's interpolation problem: m distinct sites with values."""
-
-    points: np.ndarray  # (m, 3)
-    values: np.ndarray  # (m,)
-    kernel: KernelSpec
-
-    def __post_init__(self):
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError(f"points must be (m, 3), got {self.points.shape}")
-        if self.values.shape != (self.points.shape[0],):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match {self.points.shape[0]} points"
-            )
-        if self.points.shape[0] < 1:
-            raise ValueError("a local system needs at least one site")
-
-
 @dataclass(frozen=True)
 class LocalCoefficients:
     coefficients: np.ndarray
     condition_estimate: float
 
 
-def assemble(system):
-    """The m x m collocation matrix phi(||x_i - x_k||)."""
-    return kernel_value(system.kernel, cdist(system.points, system.points))
+def assemble(points, kernel):
+    """The m x m collocation matrix phi(||x_i - x_k||) over the rows of points."""
+    return kernel_value(kernel, cdist(points, points))
 
 
-def solve_local(system, subdomain_id=None):
-    """Solve the collocation system, Cholesky first, pivoted LU on failure.
+def solve_local(points, values, kernel, subdomain_id=None):
+    """Solve the collocation system at sites `points` for `values`, Cholesky
+    first, pivoted LU on failure.
 
     Raises SingularSystemError when even the LU route yields a zero pivot or
     non-finite coefficients.  Ill-conditioned-but-solvable systems pass
     through; callers decide what to do with the condition estimate.
     """
-    phi = assemble(system)
+    phi = assemble(points, kernel)
     m = phi.shape[0]
-    f = system.values
     anorm = np.abs(phi).sum(axis=0).max()
     try:
         fac = cho_factor(phi, lower=False, check_finite=False)
@@ -124,24 +104,19 @@ def solve_local(system, subdomain_id=None):
         rcond, _ = dgecon(lu, anorm)  # 1-norm
         solve = lambda rhs: lu_solve((lu, piv), rhs, check_finite=False)
     cond = float(1.0 / rcond) if rcond > 0.0 else float("inf")
-    coeffs = solve(f)
-    coeffs = coeffs + solve(f - phi @ coeffs)  # one refinement step
+    coeffs = solve(values)
+    coeffs = coeffs + solve(values - phi @ coeffs)  # one refinement step
     if not np.isfinite(coeffs).all():
         raise SingularSystemError(subdomain_id, m)
     return LocalCoefficients(coefficients=coeffs, condition_estimate=cond)
 
 
-def evaluate_local_many(system, local, pts):
-    """The local interpolant at each row of pts: phi-distances times coefficients.
+def local_values(kernel, sites, coefficients, pts):
+    """The local interpolant sum_k c_k phi(||p - x_k||) at each row of pts.
 
     The row-wise reduction (not a BLAS matvec) keeps each row's result
     independent of how many other rows share the batch, so scalar and batch
     evaluation agree bit for bit.
     """
-    k = kernel_value(system.kernel, cdist(pts, system.points))
-    return (k * local.coefficients).sum(axis=1)
-
-
-def evaluate_local(system, local, p):
-    """The local interpolant at a single point."""
-    return float(evaluate_local_many(system, local, np.asarray(p, dtype=np.float64).reshape(1, 3))[0])
+    k = kernel_value(kernel, cdist(pts, sites))
+    return (k * coefficients).sum(axis=1)

@@ -15,21 +15,8 @@ from cubepu import pu
 from cubepu.bench import ExperimentSpec, eval_grid, f1, run_experiment, sweep_shape
 from cubepu.cube_index import brute_force_index, build, grid_from_radius
 from cubepu.halton import HaltonConfig, generate
-from cubepu.pu import (
-    PUConfig,
-    covering_subdomains,
-    evaluate_batch,
-    fit,
-    shepard_weights,
-    subdomain_radius,
-)
-from cubepu.rbf import (
-    ILL_CONDITION_LIMIT,
-    KernelSpec,
-    LocalSystem,
-    assemble,
-    solve_local,
-)
+from cubepu.pu import PUConfig, blend_weights, evaluate_batch, fit, subdomain_radius
+from cubepu.rbf import ILL_CONDITION_LIMIT, KernelSpec, assemble, solve_local
 
 OPTIMAL_SHAPES = {"g": 2.7, "m4": 2.6, "w4": 0.54}
 
@@ -139,9 +126,9 @@ def test_criterion_03_partition_of_unity(request, capsys):
         model = request.getfixturevalue("desk_models")["w4"]
         worst = 0.0
         for p in eval_grid(11):
-            covering = covering_subdomains(model, p)
-            assert covering.size > 0
-            w = shepard_weights(model, p, covering)
+            ids, w, covered = blend_weights(model, p)
+            assert covered and ids.size > 0
+            w = w / w.sum()  # the normalization evaluate_report's num / den applies
             worst = max(worst, abs(float(w.sum()) - 1.0))
             assert (w >= 0.0).all()
         assert worst <= 1e-12
@@ -229,11 +216,10 @@ def _residual_checks(model):
         if loc.condition_estimate >= ILL_CONDITION_LIMIT:
             illcond += 1
             continue
-        system = LocalSystem(model.points[sd.node_ids], model.values[sd.node_ids],
-                             model.config.kernel)
-        phi = assemble(system)
-        resid = np.abs(phi @ loc.coefficients - system.values).max()
-        assert resid <= 1e-8 * (1.0 + np.abs(system.values).max())
+        sites, values = model.points[sd.node_ids], model.values[sd.node_ids]
+        phi = assemble(sites, model.config.kernel)
+        resid = np.abs(phi @ loc.coefficients - values).max()
+        assert resid <= 1e-8 * (1.0 + np.abs(values).max())
         checked += 1
     assert illcond == model.illconditioned_solves
     return checked
@@ -263,10 +249,10 @@ def test_criterion_10_local_residuals(request, capsys):
                       + c * sites[:, 2] ** 2)
             fam, lo, hi = families[rng.integers(0, 3)]
             kernel = KernelSpec(fam, lo + (hi - lo) * rng.random())
-            loc = solve_local(LocalSystem(sites, values, kernel))
+            loc = solve_local(sites, values, kernel)
             if loc.condition_estimate >= ILL_CONDITION_LIMIT:
                 continue
-            phi = assemble(LocalSystem(sites, values, kernel))
+            phi = assemble(sites, kernel)
             resid = np.abs(phi @ loc.coefficients - values).max()
             assert resid <= 1e-8 * (1.0 + np.abs(values).max())
             checked += 1

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cubepu.bench import (
     run_experiment,
     sweep_shape,
 )
+from cubepu.cube_index import grid_from_radius
 from cubepu.errors import SingularSystemError
 
 
@@ -123,7 +125,8 @@ def test_run_experiment_small():
     assert (res.n, res.d, res.kernel, res.shape) == (343, 43, "w4", 0.54)
     assert res.function == "f1" and res.mode == "cube"
     # radius sqrt(2)/43^(1/3) = 0.404 lands between 1/3 and 1/2
-    assert (res.q, res.q_used) == (3, 2)
+    assert res.q == 3
+    assert grid_from_radius(pu.subdomain_radius(43)).q == 2
     assert 0.0 < res.rmse <= res.max_abs_error < 1.0
     assert res.total_seconds == res.fit_seconds + res.eval_seconds
     # 43 centers at radius 0.404 miss a few lattice corners; the fallback
@@ -182,6 +185,31 @@ def test_sweep_singular_shape_scores_inf(monkeypatch):
     assert len(swp.results) == 2
     assert swp.best_shape in (2.0, 4.0)
     assert np.isfinite(swp.best_rmse)
+
+
+def test_sweep_capture_time_survives_singular_first_shape(monkeypatch):
+    real_geometry, real_refit = pu.fit_geometry, pu.refit_kernel
+    calls = []
+
+    def slow_geometry(*args, **kwargs):
+        time.sleep(0.2)
+        return real_geometry(*args, **kwargs)
+
+    def first_fails(geometry, kernel):
+        calls.append(kernel.shape)
+        if len(calls) == 1:
+            raise SingularSystemError(0, 1)
+        return real_refit(geometry, kernel)
+
+    monkeypatch.setattr(pu, "fit_geometry", slow_geometry)
+    monkeypatch.setattr(pu, "refit_kernel", first_fails)
+    swp = sweep_shape(ExperimentSpec(343, 43, "m4", shape_range=(2.0, 4.0, 3),
+                                     eval_grid_side=5))
+    assert swp.points[0] == (2.0, float("inf"))
+    assert len(swp.results) == 2
+    # the first shape that solves carries the capture time
+    assert swp.results[0].fit_seconds >= 0.2
+    assert swp.results[1].fit_seconds < swp.results[0].fit_seconds
 
 
 def test_sweep_all_singular(monkeypatch):

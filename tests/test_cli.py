@@ -20,7 +20,6 @@ from cubepu.cli import (
     render_values,
 )
 from cubepu.errors import PointFileError, UsageError
-from cubepu.geometry import DataSite, Point3
 from cubepu.halton import HaltonConfig, generate
 
 
@@ -120,19 +119,17 @@ def test_read_points_with_values(tmp_path):
         "0.4,0.5,0.6,-2.0\n"
         "  0.7\t0.8 0.9   0.25  \n"
     )
-    rows = read_points(str(p))
-    assert rows == [
-        DataSite(Point3(0.1, 0.2, 0.3), 1.5),
-        DataSite(Point3(0.4, 0.5, 0.6), -2.0),
-        DataSite(Point3(0.7, 0.8, 0.9), 0.25),
-    ]
+    pts, vals = read_points(str(p))
+    assert pts.tolist() == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+    assert vals.tolist() == [1.5, -2.0, 0.25]
 
 
 def test_read_points_bare(tmp_path):
     p = tmp_path / "pts.txt"
     p.write_text("0 0 0\n1 1 1\n0.5 0.5 0.5\n")
-    assert read_points(str(p)) == [Point3(0, 0, 0), Point3(1, 1, 1),
-                                   Point3(0.5, 0.5, 0.5)]
+    pts, vals = read_points(str(p))
+    assert pts.tolist() == [[0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.5]]
+    assert vals is None
 
 
 @pytest.mark.parametrize("body,line_no,fragment", [
@@ -157,14 +154,15 @@ def test_read_points_errors(tmp_path, body, line_no, fragment):
 def test_read_points_empty_ok(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("# nothing but comments\n\n")
-    assert read_points(str(p)) == []
+    pts, vals = read_points(str(p))
+    assert pts.shape == (0, 3) and vals is None
 
 
 # ---------------------------------------------------------------- rendering
 
 def _result(rmse=1.234e-5):
     return ExperimentResult(
-        n=343, d=43, q=3, q_used=2, kernel="w4", shape=0.54, function="f1",
+        n=343, d=43, q=3, kernel="w4", shape=0.54, function="f1",
         m_max=None, mode="cube", rmse=rmse, max_abs_error=3 * rmse,
         fit_seconds=0.01, eval_seconds=0.002, total_seconds=0.012,
         uncovered_points=5, illconditioned_solves=0,

@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from cubepu.cube_index import (
     BruteForceIndex,
-    CellId,
     GridParams,
+    _cells0,
+    _halo,
     brute_force_index,
     build,
-    cell_of,
-    count_nonempty_cells,
     grid_from_radius,
-    neighbor_cell_range,
-    radius_query,
 )
 from cubepu.errors import (
     DegenerateGridWarning,
@@ -31,6 +28,10 @@ def brute_ids(points, center, radius):
     return np.flatnonzero((diff * diff).sum(axis=1) <= radius * radius)
 
 
+def nonempty_cells(index):
+    return int((np.diff(index.cell_offsets) > 0).sum())
+
+
 # ---------------------------------------------------------------- grid sizing
 
 def test_grid_from_radius_floor_rule():
@@ -38,7 +39,7 @@ def test_grid_from_radius_floor_rule():
     # to 6 would make the side 0.1667 < r and break the one-cell halo
     p = grid_from_radius(math.sqrt(2) / 8)
     assert p.q == 5 and p.q_ceil == 6
-    assert p.cube_side == 0.2 and p.i_star == 1
+    assert p.cube_side == 0.2
 
     for d, q_floor, q_ceil in [(512, 5, 6), (4096, 11, 12), (32768, 22, 23)]:
         radius = math.sqrt(2) / np.cbrt(d)
@@ -76,38 +77,38 @@ def test_grid_side_never_below_radius(radius):
 # ---------------------------------------------------------------- cell mapping
 
 def test_cell_of():
+    # 0-based cell coordinates along x, y, z
     p6 = GridParams(cube_side=1 / 6, q=6)
-    assert cell_of(p6, (0.0, 0.0, 0.0)) == CellId(1, 1, 1)
-    assert cell_of(p6, (0.5, 0.5, 0.5)) == CellId(4, 4, 4)
-    assert cell_of(p6, (1.0, 1.0, 1.0)) == CellId(6, 6, 6)  # far face clamps in
-    assert cell_of(p6, (0.99, 0.0, 1.0)) == CellId(6, 1, 6)
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0.99, 0.0, 1.0]])
+    cells = _cells0(p6, pts)
+    assert cells.tolist() == [[0, 0, 0], [3, 3, 3], [5, 5, 5], [5, 0, 5]]  # far face clamps in
 
 
 @given(st.integers(1, 23),
        st.tuples(*[st.floats(0.0, 1.0, allow_subnormal=False)] * 3))
 def test_cell_of_in_range(q, p):
-    c = cell_of(GridParams(cube_side=1.0 / q, q=q), p)
-    assert all(1 <= v <= q for v in c)
+    c = _cells0(GridParams(cube_side=1.0 / q, q=q), np.array([p]))[0]
+    assert all(0 <= v < q for v in c)
 
 
 def test_neighbor_cell_range():
     p6 = GridParams(cube_side=1 / 6, q=6)
-    first, last = neighbor_cell_range(p6, CellId(3, 3, 3))     # interior: 27 cells
-    assert first == CellId(2, 2, 2) and last == CellId(4, 4, 4)
-    first, last = neighbor_cell_range(p6, CellId(1, 1, 1))     # corner: 8 cells
-    assert first == CellId(1, 1, 1) and last == CellId(2, 2, 2)
-    first, last = neighbor_cell_range(p6, CellId(1, 3, 6))     # edge-ish: 12 cells
-    assert first == CellId(1, 2, 5) and last == CellId(2, 4, 6)
+    first, last = _halo(p6, np.array([2, 2, 2]))     # interior: 27 cells
+    assert first.tolist() == [1, 1, 1] and last.tolist() == [3, 3, 3]
+    first, last = _halo(p6, np.array([0, 0, 0]))     # corner: 8 cells
+    assert first.tolist() == [0, 0, 0] and last.tolist() == [1, 1, 1]
+    first, last = _halo(p6, np.array([0, 2, 5]))     # edge-ish: 12 cells
+    assert first.tolist() == [0, 1, 4] and last.tolist() == [1, 3, 5]
 
 
-@given(st.integers(1, 23), st.tuples(*[st.integers(1, 23)] * 3))
+@given(st.integers(1, 23), st.tuples(*[st.integers(0, 22)] * 3))
 def test_halo_never_exceeds_27_cells(q, cell):
-    cell = CellId(*(min(c, q) for c in cell))
-    params = GridParams(cube_side=1.0 / q, q=q)
-    first, last = neighbor_cell_range(params, cell)
-    spans = [last[i] - first[i] + 1 for i in range(3)]
+    cell = np.minimum(np.array(cell), q - 1)
+    first, last = _halo(GridParams(cube_side=1.0 / q, q=q), cell)
+    spans = last - first + 1
+    assert ((first >= 0) & (last < q)).all()
     assert all(1 <= s <= 3 for s in spans)
-    assert spans[0] * spans[1] * spans[2] <= 27
+    assert spans.prod() <= 27
 
 
 # ---------------------------------------------------------------- build
@@ -119,7 +120,7 @@ def test_build_octants():
     counts = np.diff(idx.cell_offsets)
     assert counts.shape == (8,)
     assert (counts == 1).all()
-    assert count_nonempty_cells(idx) == 8
+    assert nonempty_cells(idx) == 8
     # permutation covers every id exactly once
     assert np.array_equal(np.sort(idx.permutation), np.arange(8))
     # this layout is already in (w, v, u) order, so the permutation is identity
@@ -129,8 +130,8 @@ def test_build_octants():
 def test_build_empty():
     idx = build([], GridParams(cube_side=0.5, q=2))
     assert idx.cell_offsets[-1] == 0
-    assert count_nonempty_cells(idx) == 0
-    assert radius_query(idx, (0.5, 0.5, 0.5), 0.4).size == 0
+    assert nonempty_cells(idx) == 0
+    assert idx.query((0.5, 0.5, 0.5), 0.4).size == 0
 
 
 def test_build_rejects_out_of_domain():
@@ -153,16 +154,15 @@ def test_build_deterministic_and_cell_consistent():
         run = a.permutation[a.cell_offsets[flat]: a.cell_offsets[flat + 1]]
         assert (np.diff(run) > 0).all() if run.size > 1 else True
         # every id in the run really maps to this cell
-        for i in run:
-            c = cell_of(params, pts[i])
-            assert ((c.w - 1) * q + (c.v - 1)) * q + (c.u - 1) == flat
+        for u, v, w in _cells0(params, pts[run]):
+            assert (w * q + v) * q + u == flat
 
 
 def test_nonempty_cells_halton_4913():
     # 4913 Halton points fill every cell at q = 6 (216 cells) and q = 5
     pts = generate(HaltonConfig(4913))
-    assert count_nonempty_cells(build(pts, GridParams(cube_side=1 / 6, q=6))) == 216
-    assert count_nonempty_cells(build(pts, GridParams(cube_side=0.2, q=5))) == 125
+    assert nonempty_cells(build(pts, GridParams(cube_side=1 / 6, q=6))) == 216
+    assert nonempty_cells(build(pts, GridParams(cube_side=0.2, q=5))) == 125
 
 
 # ---------------------------------------------------------------- queries
@@ -170,28 +170,28 @@ def test_nonempty_cells_halton_4913():
 def test_radius_query_zero_radius_hits_stored_point():
     pts = generate(HaltonConfig(200))
     idx = build(pts, grid_from_radius(0.3))
-    ids = radius_query(idx, pts[57], 0.0)
+    ids = idx.query(pts[57], 0.0)
     assert np.array_equal(ids, [57])
 
 
 def test_radius_query_validates_center_and_radius():
     idx = build(generate(HaltonConfig(50)), grid_from_radius(0.3))
     with pytest.raises(OutOfDomainError):
-        radius_query(idx, (1.2, 0.5, 0.5), 0.1)
+        idx.query((1.2, 0.5, 0.5), 0.1)
     with pytest.raises(ValueError):
-        radius_query(idx, (0.5, 0.5, 0.5), -0.1)
+        idx.query((0.5, 0.5, 0.5), -0.1)
     with pytest.raises(ValueError):
-        radius_query(idx, (0.5, 0.5, 0.5), float("nan"))
+        idx.query((0.5, 0.5, 0.5), float("nan"))
 
 
 def test_radius_query_too_large_raises():
     idx = build(generate(HaltonConfig(100)), GridParams(cube_side=1 / 3, q=3))
     # halo around a corner cell spans only 2 cells per axis: cannot reach
     with pytest.raises(RadiusTooLargeError):
-        radius_query(idx, (0.05, 0.05, 0.05), 0.4)
+        idx.query((0.05, 0.05, 0.05), 0.4)
     # but from the middle cell the clamped halo spans the whole grid, so a
     # radius beyond one cube side is still answered exactly
-    ids = radius_query(idx, (0.5, 0.5, 0.5), 0.4)
+    ids = idx.query((0.5, 0.5, 0.5), 0.4)
     assert np.array_equal(ids, brute_ids(idx.points, (0.5, 0.5, 0.5), 0.4))
 
 
@@ -199,7 +199,7 @@ def test_radius_query_boundary_inclusive():
     # 0.75 - 0.5 and 0.25 are exact in binary: distance == radius, included
     pts = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.75], [0.5, 0.5, 0.8]])
     idx = build(pts, grid_from_radius(0.25))
-    ids = radius_query(idx, (0.5, 0.5, 0.5), 0.25)
+    ids = idx.query((0.5, 0.5, 0.5), 0.25)
     assert np.array_equal(ids, [0, 1])
 
 
@@ -240,7 +240,7 @@ def test_query_matches_brute_force_everywhere():
             ])
             for c in centers:
                 for r in (radius, radius / 2, 0.0, params.cube_side):
-                    got = radius_query(idx, c, r)
+                    got = idx.query(c, r)
                     want = brute_ids(pts, c, r)
                     assert np.array_equal(got, want), (name, c, r)
                     assert (np.diff(got) > 0).all() if got.size > 1 else True
@@ -256,4 +256,4 @@ def test_query_matches_brute_force_hypothesis(seed, radius):
     idx = build(pts, grid_from_radius(radius))
     c = rng.random(3)
     r = radius * rng.random()
-    assert np.array_equal(radius_query(idx, c, r), brute_ids(pts, c, r))
+    assert np.array_equal(idx.query(c, r), brute_ids(pts, c, r))

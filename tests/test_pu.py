@@ -11,12 +11,11 @@ from cubepu.errors import (
     DegenerateGridWarning,
     EmptySubdomainError,
     OutOfDomainError,
-    UncoveredPointError,
 )
 from cubepu.halton import HaltonConfig, generate
 from cubepu.pu import (
     PUConfig,
-    covering_subdomains,
+    blend_weights,
     evaluate,
     evaluate_batch,
     evaluate_report,
@@ -24,14 +23,21 @@ from cubepu.pu import (
     fit_geometry,
     make_centers,
     refit_kernel,
-    shepard_weights,
     subdomain_radius,
 )
-from cubepu.rbf import KernelSpec, LocalCoefficients, LocalSystem, evaluate_local
+from cubepu.rbf import KernelSpec, LocalCoefficients, local_values
 
 
 def _config(family="m4", shape=2.6, d=125, **kw):
     return PUConfig(kernel=KernelSpec(family, shape), subdomain_count=d, **kw)
+
+
+def _local(model, j, p):
+    """R_j, the solved local interpolant of subdomain j, at the single point p."""
+    sd = model.subdomains[j]
+    return local_values(model.config.kernel, model.points[sd.node_ids],
+                        sd.coefficients.coefficients,
+                        np.asarray(p, dtype=float).reshape(1, 3))[0]
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +100,7 @@ def test_fit_single_node_single_subdomain():
     assert sd.coefficients.coefficients == pytest.approx([1.4])
     # with one subdomain the blend carries weight 1: evaluate == R_1 everywhere
     p = (0.9, 0.1, 0.4)
-    sys1 = LocalSystem(model.points, model.values, model.config.kernel)
-    assert evaluate(model, p) == evaluate_local(sys1, sd.coefficients, p)
+    assert evaluate(model, p) == _local(model, 0, p)
 
 
 def test_fit_subdomain_population_4913():
@@ -194,11 +199,13 @@ def test_refit_kernel_reuses_geometry(nodes_1000):
 # ---------------------------------------------------------------- weights
 
 def test_shepard_weights_basic(model_1000):
-    # single covering subdomain takes everything
-    w = shepard_weights(model_1000, (0.5, 0.5, 0.5), [3])
-    assert np.array_equal(w, [1.0])
-    with pytest.raises(UncoveredPointError):
-        shepard_weights(model_1000, (0.5, 0.5, 0.5), [])
+    # covering balls weigh 1/distance, ascending ids
+    p = np.array([0.5, 0.5, 0.5])
+    ids, w, covered = blend_weights(model_1000, p)
+    assert covered and ids.size > 0 and (np.diff(ids) > 0).all()
+    dist = np.sqrt(((model_1000.centers[ids] - p) ** 2).sum(axis=1))
+    assert np.array_equal(w, 1.0 / dist)
+    assert (dist <= model_1000.radius).all()
 
 
 def test_shepard_weights_equidistant_pair():
@@ -207,8 +214,9 @@ def test_shepard_weights_equidistant_pair():
     model = fit(pts, np.ones(100),
                 _config(d=2, center_source="explicit", centers=centers),
                 search="no_cube")
-    w = shepard_weights(model, (0.5, 0.5, 0.5), [0, 1])
-    assert np.array_equal(w, [0.5, 0.5])  # both distances are exactly 0.25
+    ids, w, covered = blend_weights(model, (0.5, 0.5, 0.5))
+    assert covered and np.array_equal(ids, [0, 1])
+    assert np.array_equal(w / w.sum(), [0.5, 0.5])  # both distances are exactly 0.25
 
 
 def test_shepard_weights_coincident_center():
@@ -217,26 +225,29 @@ def test_shepard_weights_coincident_center():
     model = fit(pts, np.ones(100),
                 _config(d=3, center_source="explicit", centers=centers),
                 search="no_cube")
-    w = shepard_weights(model, (0.6, 0.6, 0.6), [0, 1, 2])
-    assert np.array_equal(w, [0.0, 1.0, 0.0])
-    # two coincident centers split the weight
+    ids, w, covered = blend_weights(model, (0.6, 0.6, 0.6))
+    assert covered and np.array_equal(ids, [1]) and np.array_equal(w, [1.0])
+    # two coincident centers split the weight; the other covering ball drops out
     centers2 = np.array([[0.4, 0.4, 0.4], [0.4, 0.4, 0.4], [0.8, 0.8, 0.8]])
     model2 = fit(pts, np.ones(100),
                  _config(d=3, center_source="explicit", centers=centers2),
                  search="no_cube")
-    w2 = shepard_weights(model2, (0.4, 0.4, 0.4), [0, 1, 2])
-    assert np.array_equal(w2, [0.5, 0.5, 0.0])
+    assert model2.center_index.query((0.4, 0.4, 0.4), model2.radius).size == 3
+    ids2, w2, covered2 = blend_weights(model2, (0.4, 0.4, 0.4))
+    assert covered2 and np.array_equal(ids2, [0, 1])
+    assert np.array_equal(w2 / w2.sum(), [0.5, 0.5])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.tuples(*[st.floats(0.0, 1.0, allow_subnormal=False)] * 3))
 def test_shepard_weights_sum_to_one(model_1000, p):
-    covering = covering_subdomains(model_1000, p)
-    if covering.size == 0:
-        return
-    w = shepard_weights(model_1000, p, covering)
+    ids, w, covered = blend_weights(model_1000, p)
+    assert ids.size == w.size >= 1
+    w = w / w.sum()
     assert abs(w.sum() - 1.0) <= 1e-12
     assert (w >= 0.0).all() and (w <= 1.0).all()
+    if not covered:
+        assert w.size == 1
 
 
 # ---------------------------------------------------------------- evaluate
@@ -267,14 +278,30 @@ def _grid11():
     return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
 
 
-def test_evaluate_batch_matches_scalar_bitwise(model_1000):
+def test_evaluate_batch_matches_scalar_bitwise(model_1000, monkeypatch):
+    # covered points, points on a center and one point outside every ball,
+    # all in one batch
     rng = np.random.default_rng(31)
-    pts = rng.random((40, 3))
-    batch = evaluate_batch(model_1000, pts)
+    outside = np.array([[0.62, 1.0, 1.0]])
+    pts = np.vstack([rng.random((40, 3)), model_1000.centers, outside])
+    report = evaluate_report(model_1000, pts)
+    assert report.uncovered == 1
+    assert not blend_weights(model_1000, outside[0])[2]
+    batch = report.values
     single = np.array([evaluate(model_1000, p) for p in pts])
     assert np.array_equal(batch, single)
-    # rows of a batch do not depend on what else shares the batch
+    # reference: the blend written out point by point, ascending subdomain ids
+    for p, got in zip(pts, batch):
+        num = den = 0.0
+        for j, w in zip(*blend_weights(model_1000, p)[:2]):
+            num += w * _local(model_1000, j, p)
+            den += w
+        assert got == num / den
+    # rows of a batch do not depend on what else shares the batch or its block
     assert np.array_equal(evaluate_batch(model_1000, pts[:13]), batch[:13])
+    monkeypatch.setattr(pu, "BLEND_BLOCK", 7)
+    blocked = evaluate_report(model_1000, pts)
+    assert np.array_equal(blocked.values, batch) and blocked.uncovered == 1
 
 
 def test_evaluate_search_mode_invariance(nodes_1000):
@@ -291,7 +318,7 @@ def test_evaluate_search_mode_invariance(nodes_1000):
 
 def test_evaluate_locality(model_1000):
     p = np.array([[0.1, 0.2, 0.1]])
-    covering = set(covering_subdomains(model_1000, p[0]).tolist())
+    covering = set(blend_weights(model_1000, p[0])[0].tolist())
     far_j = next(j for j in range(len(model_1000.subdomains)) if j not in covering)
     before = evaluate_batch(model_1000, p)[0]
     # corrupt a subdomain the point does not touch: value must not move a bit
@@ -325,14 +352,24 @@ def test_evaluate_uncovered_fallback():
     assert report.uncovered == 1
     d2 = ((model.centers - far[0]) ** 2).sum(axis=1)
     j = int(np.argmin(d2))
-    sd = model.subdomains[j]
-    sys_j = LocalSystem(model.points[sd.node_ids], model.values[sd.node_ids],
-                        model.config.kernel)
-    assert report.values[0] == evaluate_local(sys_j, sd.coefficients, far[0])
+    ids, w, covered = blend_weights(model, far[0])
+    assert not covered and np.array_equal(ids, [j]) and np.array_equal(w, [1.0])
+    assert report.values[0] == _local(model, j, far[0])
     # a covered point in the same batch is unaffected
     both = np.vstack([centers[0], far[0]])
     rep2 = evaluate_report(model, both)
     assert rep2.uncovered == 1
+    assert rep2.values[1] == report.values[0]
+
+
+def test_blend_weights_uncovered_tie_takes_lower_id():
+    pts = generate(HaltonConfig(100))
+    centers = np.array([[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.05, 0.05, 0.05]])
+    model = fit(pts, np.ones(100),
+                _config(d=3, center_source="explicit", centers=centers),
+                search="no_cube")
+    ids, w, covered = blend_weights(model, (0.9, 0.9, 0.9))
+    assert not covered and np.array_equal(ids, [0]) and np.array_equal(w, [1.0])
 
 
 def test_evaluate_coincident_center_value():
@@ -342,10 +379,7 @@ def test_evaluate_coincident_center_value():
     model = fit(pts, vals, _config(d=2, center_source="explicit", centers=centers),
                 search="no_cube")
     p = np.array([0.3, 0.3, 0.3])
-    sd = model.subdomains[0]
-    sys0 = LocalSystem(model.points[sd.node_ids], model.values[sd.node_ids],
-                       model.config.kernel)
-    assert evaluate(model, p) == evaluate_local(sys0, sd.coefficients, p)
+    assert evaluate(model, p) == _local(model, 0, p)
 
 
 def test_evaluate_validates_domain(model_1000):

@@ -9,12 +9,9 @@ from cubepu.errors import SingularSystemError
 from cubepu.rbf import (
     ILL_CONDITION_LIMIT,
     KernelSpec,
-    LocalSystem,
     assemble,
-    evaluate_local,
-    evaluate_local_many,
-    kernel_at_zero,
     kernel_value,
+    local_values,
     solve_local,
 )
 
@@ -28,7 +25,7 @@ def test_kernel_values_at_zero():
     assert kernel_value(KernelSpec("g", 2.7), 0.0) == 1.0
     assert kernel_value(KernelSpec("m4", 2.6), 0.0) == 3.0
     assert kernel_value(KernelSpec("w4", 0.54), 0.0) == 3.0
-    assert kernel_at_zero(KernelSpec("m4", 9.0)) == 3.0
+    assert kernel_value(KernelSpec("m4", 9.0), 0.0) == 3.0
 
 
 def test_kernel_gaussian_formula():
@@ -74,7 +71,7 @@ def test_kernel_monotone_and_bounded(family, shape, r1, r2):
     lo, hi = sorted((r1, r2))
     v_lo, v_hi = kernel_value(spec, lo), kernel_value(spec, hi)
     assert 0.0 <= v_hi <= v_lo + 1e-12  # a couple of ulps of rounding slack
-    assert v_lo <= kernel_at_zero(spec) + 1e-12
+    assert v_lo <= kernel_value(spec, 0.0) + 1e-12
 
 
 def test_kernel_spec_validation():
@@ -89,21 +86,31 @@ def test_kernel_spec_validation():
 # ---------------------------------------------------------------- assembly
 
 def _system(points, values, family="m4", shape=2.6):
-    return LocalSystem(
-        points=np.asarray(points, dtype=float),
-        values=np.asarray(values, dtype=float),
-        kernel=KernelSpec(family, shape),
-    )
+    """(points, values, kernel) arguments of one local solve."""
+    return (np.asarray(points, dtype=float), np.asarray(values, dtype=float),
+            KernelSpec(family, shape))
+
+
+def _assemble(system):
+    points, _, kernel = system
+    return assemble(points, kernel)
+
+
+def _at(system, local, pts):
+    """The solved local interpolant at each row of pts."""
+    points, _, kernel = system
+    return local_values(kernel, points, local.coefficients,
+                        np.asarray(pts, dtype=float).reshape(-1, 3))
 
 
 def test_assemble_single_site():
-    phi = assemble(_system([[0.5, 0.5, 0.5]], [1.0]))
+    phi = _assemble(_system([[0.5, 0.5, 0.5]], [1.0]))
     assert phi.shape == (1, 1) and phi[0, 0] == 3.0
 
 
 def test_assemble_two_sites():
     sys2 = _system([[0, 0, 0], [1, 0, 0]], [0.0, 0.0], "g", 1.0)
-    phi = assemble(sys2)
+    phi = _assemble(sys2)
     assert phi[0, 0] == phi[1, 1] == 1.0
     assert phi[0, 1] == phi[1, 0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
@@ -112,42 +119,33 @@ def test_assemble_symmetric_with_constant_diagonal():
     rng = np.random.default_rng(42)
     pts = rng.random((40, 3))
     for family, shape in (("g", 2.7), ("m4", 2.6), ("w4", 0.54)):
-        phi = assemble(_system(pts, np.zeros(40), family, shape))
+        phi = _assemble(_system(pts, np.zeros(40), family, shape))
         assert np.array_equal(phi, phi.T)  # cdist distances are symmetric in kind
-        assert (np.diag(phi) == kernel_at_zero(KernelSpec(family, shape))).all()
+        assert (np.diag(phi) == kernel_value(KernelSpec(family, shape), 0.0)).all()
 
 
 def test_assemble_wendland_sparsity():
     # sites further apart than the support radius 1/a give exact zeros
     pts = np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0], [0.05, 0.0, 0.0]])
-    phi = assemble(_system(pts, np.zeros(3), "w4", 2.0))  # support radius 0.5
+    phi = _assemble(_system(pts, np.zeros(3), "w4", 2.0))  # support radius 0.5
     assert phi[0, 1] == 0.0 and phi[1, 0] == 0.0
     assert phi[0, 2] > 0.0
-
-
-def test_local_system_validation():
-    with pytest.raises(ValueError):
-        _system(np.zeros((0, 3)), [])
-    with pytest.raises(ValueError):
-        _system([[0, 0, 0]], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        LocalSystem(np.zeros((2, 2)), np.zeros(2), KernelSpec("g", 1.0))
 
 
 # ---------------------------------------------------------------- solving
 
 def test_solve_single_site():
     sys1 = _system([[0.2, 0.3, 0.4]], [6.0])
-    local = solve_local(sys1)
+    local = solve_local(*sys1)
     assert local.coefficients == pytest.approx([2.0])  # phi(0) = 3
     assert local.condition_estimate == pytest.approx(1.0)
-    assert evaluate_local(sys1, local, (0.2, 0.3, 0.4)) == pytest.approx(6.0)
+    assert _at(sys1, local, (0.2, 0.3, 0.4))[0] == pytest.approx(6.0)
 
 
 def test_solve_zero_values_gives_zero_coefficients():
     rng = np.random.default_rng(3)
     sys0 = _system(rng.random((25, 3)), np.zeros(25))
-    local = solve_local(sys0)
+    local = solve_local(*sys0)
     assert np.all(local.coefficients == 0.0)
 
 
@@ -163,10 +161,10 @@ def test_solve_residual_small_smooth_values():
         family = ("g", "m4", "w4")[trial % 3]
         shape = {"g": 2.7, "m4": 2.6, "w4": 0.54}[family]
         sys_t = _system(pts, f, family, shape)
-        local = solve_local(sys_t)
+        local = solve_local(*sys_t)
         if local.condition_estimate >= ILL_CONDITION_LIMIT:
             continue
-        resid = assemble(sys_t) @ local.coefficients - f
+        resid = _assemble(sys_t) @ local.coefficients - f
         assert np.abs(resid).max() <= 1e-8 * (1.0 + np.abs(f).max())
         checked += 1
     assert checked >= 30
@@ -185,10 +183,10 @@ def test_solve_residual_noise_values_condition_aware():
         family = ("g", "m4", "w4")[trial % 3]
         shape = {"g": 2.7, "m4": 2.6, "w4": 0.54}[family]
         sys_t = _system(pts, f, family, shape)
-        local = solve_local(sys_t)
+        local = solve_local(*sys_t)
         if not np.isfinite(local.condition_estimate):
             continue
-        resid = assemble(sys_t) @ local.coefficients - f
+        resid = _assemble(sys_t) @ local.coefficients - f
         bound = max(1e-8, 20.0 * eps * local.condition_estimate) * (1.0 + np.abs(f).max())
         assert np.abs(resid).max() <= bound
 
@@ -198,15 +196,15 @@ def test_solve_interpolates_at_sites():
     pts = rng.random((30, 3))
     f = np.sin(pts.sum(axis=1) * 3.0)
     sys_i = _system(pts, f, "w4", 0.8)
-    local = solve_local(sys_i)
-    at_sites = evaluate_local_many(sys_i, local, pts)
+    local = solve_local(*sys_i)
+    at_sites = _at(sys_i, local, pts)
     assert np.abs(at_sites - f).max() <= 1e-9
 
 
 def test_solve_duplicate_sites_singular():
     pts = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
     with pytest.raises(SingularSystemError) as exc:
-        solve_local(_system(pts, [1.0, 1.0, 2.0]), subdomain_id=17)
+        solve_local(*_system(pts, [1.0, 1.0, 2.0]), subdomain_id=17)
     assert exc.value.subdomain_id == 17
     assert exc.value.size == 3
 
@@ -216,37 +214,37 @@ def test_scale_consistency_power_of_two_exact():
     rng = np.random.default_rng(11)
     pts = rng.random((20, 3))
     f = rng.standard_normal(20)
-    base = solve_local(_system(pts, f))
-    scaled = solve_local(_system(pts, 4.0 * f))
+    base = solve_local(*_system(pts, f))
+    scaled = solve_local(*_system(pts, 4.0 * f))
     assert np.array_equal(scaled.coefficients, 4.0 * base.coefficients)
     p = np.array([[0.4, 0.4, 0.4]])
     sys_a, sys_b = _system(pts, f), _system(pts, 4.0 * f)
-    assert evaluate_local_many(sys_b, scaled, p)[0] == 4.0 * evaluate_local_many(sys_a, base, p)[0]
+    assert _at(sys_b, scaled, p)[0] == 4.0 * _at(sys_a, base, p)[0]
 
 
 def test_scale_consistency_general_factor():
     rng = np.random.default_rng(12)
     pts = rng.random((20, 3))
     f = rng.standard_normal(20)
-    base = solve_local(_system(pts, f, "w4", 0.6))
-    scaled = solve_local(_system(pts, 3.7 * f, "w4", 0.6))
+    base = solve_local(*_system(pts, f, "w4", 0.6))
+    scaled = solve_local(*_system(pts, 3.7 * f, "w4", 0.6))
     assert scaled.coefficients == pytest.approx(3.7 * base.coefficients, rel=1e-9)
 
 
 def test_condition_estimate_grows_with_flatness():
     rng = np.random.default_rng(5)
     pts = rng.random((40, 3)) * 0.3
-    sharp = solve_local(_system(pts, np.ones(40), "g", 6.0)).condition_estimate
-    flat = solve_local(_system(pts, np.ones(40), "g", 1.0)).condition_estimate
+    sharp = solve_local(*_system(pts, np.ones(40), "g", 6.0)).condition_estimate
+    flat = solve_local(*_system(pts, np.ones(40), "g", 1.0)).condition_estimate
     assert flat > sharp >= 1.0
 
 
 def test_evaluate_local_single_site_formula():
     sys1 = _system([[0.5, 0.5, 0.5]], [6.0], "g", 2.0)
-    local = solve_local(sys1)
+    local = solve_local(*sys1)
     # R(p) = f * phi(r) / phi(0); here phi(0) = 1
     r = math.sqrt(3 * 0.25 ** 2)
-    assert evaluate_local(sys1, local, (0.25, 0.25, 0.25)) == pytest.approx(
+    assert _at(sys1, local, (0.25, 0.25, 0.25))[0] == pytest.approx(
         6.0 * math.exp(-(2.0 * r) ** 2), rel=1e-13
     )
 
@@ -255,8 +253,8 @@ def test_evaluate_local_batch_matches_scalar_bitwise():
     rng = np.random.default_rng(8)
     pts = rng.random((15, 3))
     sys_b = _system(pts, rng.standard_normal(15))
-    local = solve_local(sys_b)
+    local = solve_local(*sys_b)
     targets = rng.random((9, 3))
-    batch = evaluate_local_many(sys_b, local, targets)
-    singles = np.array([evaluate_local(sys_b, local, t) for t in targets])
+    batch = _at(sys_b, local, targets)
+    singles = np.array([_at(sys_b, local, t)[0] for t in targets])
     assert np.array_equal(batch, singles)
