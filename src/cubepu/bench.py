@@ -4,6 +4,11 @@ Experiments follow a fixed recipe so runs are reproducible: Halton nodes in
 bases (2, 3, 5) starting at index 1, values sampled from one of two smooth
 test fields, a PU fit, and errors measured on the (s x s x s) vertex lattice
 i/(s-1) (s = 11 by default, 1331 points).
+
+An `ExperimentSpec` describes that setup only.  The kernel shape, the one
+thing the paper's experiments vary on a fixed setup, is passed to each run:
+`run_experiment(spec, shape)`, `compare_search(spec, shape)` and
+`sweep_shape(spec, shapes)`.
 """
 
 import time
@@ -14,7 +19,7 @@ import numpy as np
 from . import pu
 from .cube_index import grid_from_radius
 from .errors import SingularSystemError
-from .halton import DEFAULT_BASES, HaltonConfig, generate
+from .halton import HaltonConfig, generate
 from .rbf import KernelSpec
 
 
@@ -75,14 +80,10 @@ class ExperimentSpec:
     node_count: int
     subdomain_count: int
     kernel_family: str
-    shape: float | None = None
-    shape_range: tuple | None = None  # (lo, hi, count) for sweeps
     function: str = "f1"
     eval_grid_side: int = 11
     m_max: int | None = None
     search: str = "cube"  # "cube" | "no_cube"
-    node_bases: tuple = DEFAULT_BASES
-    node_start_index: int = 1
     center_source: str = "halton"
 
     def __post_init__(self):
@@ -97,14 +98,12 @@ class ExperimentSpec:
             )
         if self.node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
-        if self.shape is None and self.shape_range is None:
-            raise ValueError("need a shape value or a shape range")
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
     n: int
-    d: int
+    d: int        # centers placed; a grid rounds d up to a cube
     q: int        # rounded-up cell count, as benchmark tables quote it
     kernel: str
     shape: float
@@ -122,9 +121,7 @@ class ExperimentResult:
 
 
 def _nodes_and_values(spec):
-    nodes = generate(
-        HaltonConfig(spec.node_count, spec.node_bases, spec.node_start_index)
-    )
+    nodes = generate(HaltonConfig(spec.node_count))
     return nodes, TEST_FUNCTIONS[spec.function](nodes)
 
 
@@ -140,7 +137,7 @@ def _pu_config(spec, shape):
 def _result(spec, shape, model, report, truth, fit_s, eval_s):
     return ExperimentResult(
         n=spec.node_count,
-        d=spec.subdomain_count,
+        d=model.centers.shape[0],
         q=grid_from_radius(model.radius).q_ceil,
         kernel=spec.kernel_family,
         shape=float(shape),
@@ -157,20 +154,18 @@ def _result(spec, shape, model, report, truth, fit_s, eval_s):
     )
 
 
-def run_experiment(spec):
-    """One fixed-shape experiment: generate, fit, evaluate on the grid, score."""
-    if spec.shape is None:
-        raise ValueError("run_experiment needs a fixed shape; use sweep_shape for ranges")
+def run_experiment(spec, shape):
+    """One experiment at one shape: generate, fit, evaluate on the grid, score."""
     nodes, values = _nodes_and_values(spec)
     t0 = time.perf_counter()
-    model = pu.fit(nodes, values, _pu_config(spec, spec.shape), search=spec.search)
+    model = pu.fit(nodes, values, _pu_config(spec, shape), search=spec.search)
     fit_s = time.perf_counter() - t0
     grid = eval_grid(spec.eval_grid_side)
     t1 = time.perf_counter()
     report = pu.evaluate_report(model, grid)
     eval_s = time.perf_counter() - t1
     truth = TEST_FUNCTIONS[spec.function](grid)
-    return _result(spec, spec.shape, model, report, truth, fit_s, eval_s)
+    return _result(spec, shape, model, report, truth, fit_s, eval_s)
 
 
 @dataclass(frozen=True)
@@ -181,17 +176,11 @@ class SweepResult:
     results: tuple         # ExperimentResult per shape that actually solved
 
 
-def sweep_shape(spec):
-    """Error curve over a shape range, reusing nodes, centers, and both cube
-    structures across shape values; only the local solves and the evaluation
-    rerun.  A shape whose solve collapses scores rmse = +inf rather than
-    aborting the sweep."""
-    if spec.shape_range is None:
-        raise ValueError("sweep_shape needs spec.shape_range = (lo, hi, count)")
-    lo, hi, count = spec.shape_range
-    if count < 1:
-        raise ValueError(f"shape_range count must be >= 1, got {count}")
-    shapes = np.linspace(float(lo), float(hi), int(count))
+def sweep_shape(spec, shapes):
+    """Error curve over a nonempty sequence of shapes, reusing nodes, centers,
+    and both cube structures across shape values; only the local solves and
+    the evaluation rerun.  A shape whose solve collapses scores rmse = +inf
+    rather than aborting the sweep."""
     nodes, values = _nodes_and_values(spec)
     grid = eval_grid(spec.eval_grid_side)
     truth = TEST_FUNCTIONS[spec.function](grid)
@@ -230,11 +219,11 @@ def sweep_shape(spec):
     )
 
 
-def compare_search(spec):
+def compare_search(spec, shape):
     """Run the same experiment under both search engines.
 
     Returns (cube_result, no_cube_result); the numeric columns must agree
     exactly, only the timings differ."""
-    res_cube = run_experiment(replace(spec, search="cube"))
-    res_scan = run_experiment(replace(spec, search="no_cube"))
+    res_cube = run_experiment(replace(spec, search="cube"), shape)
+    res_scan = run_experiment(replace(spec, search="no_cube"), shape)
     return res_cube, res_scan

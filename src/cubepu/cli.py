@@ -13,6 +13,12 @@ comma-separated, `x y z` or `x y z value`, with `#` comments.  Results go to
 stdout or --out as CSV (default) or JSON; floats are emitted with 17
 significant digits so a write/read round trip is exact.
 
+`parse_args` checks the arguments and returns argparse's namespace with the
+library inputs added to it; each subcommand's `_run_*` function reads that
+namespace directly, with no request objects in between.  The experiment
+commands hand the library a setup spec, and the kernel shape (or, for sweep,
+the array of shapes) as an argument of its own.
+
 Exit codes: 0 success, 1 usage, 2 input data, 3 numerical failure.
 """
 
@@ -20,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple
 
 import numpy as np
 
@@ -44,28 +50,6 @@ RESULT_COLUMNS = (
 
 DEFAULT_KERNEL = "w4"
 DEFAULT_SHAPE = 0.54
-
-
-@dataclass(frozen=True)
-class FitRequest:
-    nodes: tuple
-    eval_points: tuple
-    centers: str | None
-    subdomains: int | None
-    kernel: str
-    shape: float
-    m_max: int | None
-    search: str
-    function: str | None
-
-
-@dataclass(frozen=True)
-class CliRequest:
-    command: str
-    experiment: bench.ExperimentSpec | None
-    fit: FitRequest | None
-    out: str | None
-    fmt: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,29 +172,15 @@ def load_point_source(source, what="points"):
 def _num(v):
     if v is None:
         return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
 
 
-def _result_row(res):
-    return (
-        res.n, res.d, res.q, res.kernel, res.shape, res.function, res.m_max,
-        res.mode, res.rmse, res.max_abs_error, res.fit_seconds,
-        res.eval_seconds, res.total_seconds, res.uncovered_points,
-        res.illconditioned_solves, res.empty_subdomains,
-    )
-
-
 def _result_dict(res):
-    row = _result_row(res)
-    return {
-        k: (None if v is None else (v if isinstance(v, str) else
-            int(v) if isinstance(v, (int, np.integer)) else float(v)))
-        for k, v in zip(RESULT_COLUMNS, row)
-    }
+    # ExperimentResult's fields are RESULT_COLUMNS in order, holding plain
+    # int, float, str or None values
+    return dict(zip(RESULT_COLUMNS, astuple(res)))
 
 
 def render_results(results, fmt):
@@ -221,7 +191,7 @@ def render_results(results, fmt):
         return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
     lines = [",".join(RESULT_COLUMNS)]
     for r in results:
-        lines.append(",".join(_num(v) for v in _result_row(r)))
+        lines.append(",".join(_num(v) for v in astuple(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -273,6 +243,9 @@ def _add_common(p, needs_shape):
                    help="use the plain scan instead of the cube search")
     p.add_argument("--eval", dest="eval_src", default="grid:11",
                    help="evaluation points (default grid:11)")
+    p.add_argument("--centers", default="halton",
+                   help="center source: halton, grid (the whole m^3 lattice, "
+                        "m = ceil(cbrt d)), or, for fit only, file:<path>")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -284,23 +257,19 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit a point set and tabulate the surface")
     _add_common(p_fit, needs_shape=True)
-    p_fit.add_argument("--centers", default="halton",
-                       help="center source: halton, grid, or file:<path>")
+    p_fit.set_defaults(kernel=DEFAULT_KERNEL, shape=DEFAULT_SHAPE)
 
     p_bench = sub.add_parser("bench", help="one benchmark experiment")
     _add_common(p_bench, needs_shape=True)
-    p_bench.add_argument("--centers", default="halton", help="center source: halton or grid")
 
     p_sweep = sub.add_parser("sweep", help="error curve over a shape range")
     _add_common(p_sweep, needs_shape=False)
     p_sweep.add_argument("--range", dest="shape_range", required=True,
                          help="shape range lo:hi:count")
-    p_sweep.add_argument("--centers", default="halton", help="center source: halton or grid")
 
     p_cmp = sub.add_parser("compare-search",
                            help="run the same experiment with and without the cube search")
     _add_common(p_cmp, needs_shape=True)
-    p_cmp.add_argument("--centers", default="halton", help="center source: halton or grid")
 
     return top
 
@@ -309,104 +278,84 @@ def _default_subdomains(n):
     return max(1, round(n / 8))
 
 
-def _experiment_spec(args, shape=None, shape_range=None):
-    source = parse_point_source(args.nodes)
-    if source[0] != "halton":
+def _experiment_spec(args):
+    kind, n = parse_point_source(args.nodes)
+    if kind != "halton":
         raise UsageError(
             f"{args.command} regenerates its nodes and needs --nodes halton:<n>"
         )
-    n = source[1]
-    eval_src = parse_point_source(args.eval_src)
-    if eval_src[0] != "grid":
+    kind, side = parse_point_source(args.eval_src)
+    if kind != "grid":
         raise UsageError(f"{args.command} evaluates on a lattice; use --eval grid:<side>")
     if args.centers not in ("halton", "grid"):
         raise UsageError(f"{args.command} supports --centers halton or grid")
     if args.kernel is None:
         raise UsageError("--kernel is required here")
-    if shape is None and shape_range is None:
-        raise UsageError("--shape is required here")
     return bench.ExperimentSpec(
         node_count=n,
         subdomain_count=args.subdomains or _default_subdomains(n),
         kernel_family=args.kernel,
-        shape=shape,
-        shape_range=shape_range,
         function=args.function or "f1",
-        eval_grid_side=eval_src[1],
+        eval_grid_side=side,
         m_max=args.mmax,
-        search="no_cube" if args.no_cube else "cube",
+        search=args.search,
         center_source=args.centers,
     )
 
 
 def parse_args(argv=None):
-    """Parse argv into a CliRequest (experiment description or fit request)."""
+    """Check argv and return argparse's namespace with `search` added; for
+    bench, sweep and compare-search also the `bench.ExperimentSpec` as
+    `spec`, and for sweep the array of shape values as `shapes`."""
     args = build_parser().parse_args(argv)
     if args.mmax is not None and args.mmax < 1:
         raise UsageError(f"--mmax must be >= 1, got {args.mmax}")
     if args.subdomains is not None and args.subdomains < 1:
         raise UsageError(f"--subdomains must be >= 1, got {args.subdomains}")
-    if args.command == "fit":
-        req = FitRequest(
-            nodes=parse_point_source(args.nodes),
-            eval_points=parse_point_source(args.eval_src),
-            centers=args.centers,
-            subdomains=args.subdomains,
-            kernel=args.kernel or DEFAULT_KERNEL,
-            shape=args.shape if args.shape is not None else DEFAULT_SHAPE,
-            m_max=args.mmax,
-            search="no_cube" if args.no_cube else "cube",
-            function=args.function,
-        )
-        if req.shape <= 0:
-            raise UsageError(f"--shape must be positive, got {req.shape}")
-        return CliRequest("fit", None, req, args.out, args.format)
+    args.search = "no_cube" if args.no_cube else "cube"
     if args.command == "sweep":
-        spec = _experiment_spec(args, shape_range=parse_shape_range(args.shape_range))
-        return CliRequest("sweep", spec, None, args.out, args.format)
-    if args.shape is None or args.shape <= 0:
+        args.shapes = np.linspace(*parse_shape_range(args.shape_range))
+    elif args.shape is None or args.shape <= 0:
         raise UsageError(f"--shape must be a positive number, got {args.shape}")
-    spec = _experiment_spec(args, shape=args.shape)
-    return CliRequest(args.command, spec, None, args.out, args.format)
+    if args.command == "fit":
+        # a malformed source is a usage error even before any file is read
+        parse_point_source(args.nodes)
+        parse_point_source(args.eval_src)
+    else:
+        args.spec = _experiment_spec(args)
+    return args
 
 
-def _run_fit(req, out, fmt):
-    nodes, values = load_point_source(req.nodes, "nodes")
+def _run_fit(args):
+    nodes, values = load_point_source(parse_point_source(args.nodes), "nodes")
     if values is None:
-        if req.function is None:
+        if args.function is None:
             raise UsageError(
                 "node source carries no values; pass --function to sample a test field"
             )
-        values = bench.TEST_FUNCTIONS[req.function](nodes)
-    n = nodes.shape[0]
+        values = bench.TEST_FUNCTIONS[args.function](nodes)
 
-    if req.centers in ("halton", "grid"):
-        d = req.subdomains or _default_subdomains(n)
-        config = pu.PUConfig(
-            kernel=KernelSpec(req.kernel, req.shape),
-            subdomain_count=d,
-            m_max=req.m_max,
-            center_source=req.centers,
-        )
-    else:
-        kind, path = parse_point_source(req.centers)
+    centers = None
+    d = args.subdomains or _default_subdomains(nodes.shape[0])
+    if args.centers not in ("halton", "grid"):
+        kind, path = parse_point_source(args.centers)
         if kind != "file":
-            raise UsageError(f"bad center source {req.centers!r}")
+            raise UsageError(f"bad center source {args.centers!r}")
         centers, _ = load_point_source((kind, path), "centers")
-        if req.subdomains is not None and req.subdomains != centers.shape[0]:
+        d = centers.shape[0]
+        if args.subdomains is not None and args.subdomains != d:
             raise UsageError(
-                f"--subdomains {req.subdomains} does not match {centers.shape[0]} centers in {path}"
+                f"--subdomains {args.subdomains} does not match {d} centers in {path}"
             )
-        config = pu.PUConfig(
-            kernel=KernelSpec(req.kernel, req.shape),
-            subdomain_count=centers.shape[0],
-            m_max=req.m_max,
-            center_source="explicit",
-            centers=centers,
-        )
-
-    model = pu.fit(nodes, values, config, search=req.search)
-    eval_pts, _ = load_point_source(req.eval_points, "evaluation points")
+    config = pu.PUConfig(
+        kernel=KernelSpec(args.kernel, args.shape),
+        subdomain_count=d,
+        m_max=args.mmax,
+        center_source=args.centers if centers is None else "explicit",
+        centers=centers,
+    )
+    model = pu.fit(nodes, values, config, search=args.search)
+    eval_pts, _ = load_point_source(parse_point_source(args.eval_src), "evaluation points")
     report = pu.evaluate_report(model, eval_pts)
     if report.uncovered:
         print(
@@ -419,25 +368,25 @@ def _run_fit(req, out, fmt):
             f"warning: {model.illconditioned_solves} ill-conditioned local solves",
             file=sys.stderr,
         )
-    write_text(render_values(eval_pts, report.values, fmt), out)
+    write_text(render_values(eval_pts, report.values, args.format), args.out)
 
 
-def _run_bench(spec, out, fmt):
-    res = bench.run_experiment(spec)
-    write_text(render_results(res, fmt), out)
+def _run_bench(args):
+    res = bench.run_experiment(args.spec, args.shape)
+    write_text(render_results(res, args.format), args.out)
 
 
-def _run_sweep(spec, out, fmt):
-    sweep = bench.sweep_shape(spec)
+def _run_sweep(args):
+    sweep = bench.sweep_shape(args.spec, args.shapes)
     print(
         f"best shape {sweep.best_shape:g} with rmse {sweep.best_rmse:.6e}",
         file=sys.stderr,
     )
-    write_text(render_sweep(sweep, fmt), out)
+    write_text(render_sweep(sweep, args.format), args.out)
 
 
-def _run_compare(spec, out, fmt):
-    res_cube, res_scan = bench.compare_search(spec)
+def _run_compare(args):
+    res_cube, res_scan = bench.compare_search(args.spec, args.shape)
     match = (res_cube.rmse == res_scan.rmse
              and res_cube.max_abs_error == res_scan.max_abs_error)
     speedup = res_scan.fit_seconds / res_cube.fit_seconds if res_cube.fit_seconds else float("inf")
@@ -446,37 +395,31 @@ def _run_compare(spec, out, fmt):
         f"(x{speedup:.2f}); results identical: {match}",
         file=sys.stderr,
     )
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "cube": _result_dict(res_cube),
             "no_cube": _result_dict(res_scan),
             "results_match": bool(match),
             "fit_speedup": float(speedup),
         }
-        write_text(json.dumps(payload, indent=2) + "\n", out)
+        write_text(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        write_text(render_results([res_cube, res_scan], fmt), out)
+        write_text(render_results([res_cube, res_scan], args.format), args.out)
+
+
+_RUNNERS = {"fit": _run_fit, "bench": _run_bench, "sweep": _run_sweep,
+            "compare-search": _run_compare}
 
 
 def main(argv=None):
     try:
-        req = parse_args(argv)
-        if req.command == "fit":
-            _run_fit(req.fit, req.out, req.fmt)
-        elif req.command == "bench":
-            _run_bench(req.experiment, req.out, req.fmt)
-        elif req.command == "sweep":
-            _run_sweep(req.experiment, req.out, req.fmt)
-        else:
-            _run_compare(req.experiment, req.out, req.fmt)
+        args = parse_args(argv)
+        _RUNNERS[args.command](args)
         return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (PointFileError, OutOfDomainError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (PointFileError, OutOfDomainError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -72,8 +72,6 @@ class PUConfig:
 
 @dataclass
 class Subdomain:
-    center: np.ndarray            # (3,)
-    radius: float
     node_ids: np.ndarray          # ascending original node ids, nonempty
     coefficients: object = None   # LocalCoefficients once solved
 
@@ -98,8 +96,11 @@ class EvalReport:
 
 
 def make_centers(config):
-    """Center layout for a config: Halton points in bases (7, 11, 13), a
-    cell-centered lattice truncated to d, or the explicit array given."""
+    """Center layout for a config: d Halton points in bases (7, 11, 13), the
+    whole cell-centered m^3 lattice with m = ceil(cbrt d), or the explicit
+    array given.  The grid never cuts its lattice short, since a partial
+    lattice leaves holes its radius cannot cover; a d that is not a cube
+    places more than d centers."""
     d = config.subdomain_count
     if config.center_source == "halton":
         return halton.generate(halton.HaltonConfig(d, CENTER_BASES))
@@ -107,8 +108,7 @@ def make_centers(config):
         m = int(math.ceil(np.cbrt(float(d)) - 1e-9))
         g = (np.arange(m) + 0.5) / m
         ww, vv, uu = np.meshgrid(g, g, g, indexing="ij")
-        lattice = np.column_stack([uu.ravel(), vv.ravel(), ww.ravel()])
-        return lattice[:d]
+        return np.column_stack([uu.ravel(), vv.ravel(), ww.ravel()])
     return as_point_array(config.centers)
 
 
@@ -143,23 +143,23 @@ def _build_index(points, radius, search):
 
 def fit_geometry(points, values, config, search="cube"):
     """Capture stage only: validate nodes, place centers, bucket both point
-    sets, and record which nodes each ball owns.  Coefficients stay unsolved
-    so one geometry can be re-solved under many kernels."""
+    sets, and record which nodes each ball owns.  The ball count and radius
+    come from the centers placed.  Coefficients stay unsolved so one
+    geometry can be re-solved under many kernels."""
     if search not in SEARCH_MODES:
         raise ValueError(f"search must be one of {SEARCH_MODES}, got {search!r}")
     pts, vals = _check_nodes(points, values)
     centers = make_centers(config)
     ensure_in_unit_cube(centers, "subdomain center")
-    if centers.shape[0] != config.subdomain_count:
-        raise ValueError(
-            f"{centers.shape[0]} centers for {config.subdomain_count} subdomains"
-        )
-    radius = subdomain_radius(config.subdomain_count)
+    d = centers.shape[0]
+    if config.center_source == "explicit" and d != config.subdomain_count:
+        raise ValueError(f"{d} centers for {config.subdomain_count} subdomains")
+    radius = subdomain_radius(d)
     node_index = _build_index(pts, radius, search)
     center_index = _build_index(centers, radius, search)
 
     subdomains = []
-    for j in range(config.subdomain_count):
+    for j in range(d):
         ids = node_index.query(centers[j], radius)
         if ids.size == 0:
             raise EmptySubdomainError(j, centers[j])
@@ -168,7 +168,7 @@ def fit_geometry(points, values, config, search="cube"):
             d2 = (diff * diff).sum(axis=1)
             keep = np.lexsort((ids, d2))[: config.m_max]  # nearest first, ties to lower id
             ids = np.sort(ids[keep])
-        subdomains.append(Subdomain(center=centers[j], radius=radius, node_ids=ids))
+        subdomains.append(Subdomain(node_ids=ids))
 
     return PUModel(
         config=config,
@@ -193,17 +193,8 @@ def refit_kernel(model, kernel):
         if local.condition_estimate >= ILL_CONDITION_LIMIT:
             illcond += 1
         solved.append(replace(sd, coefficients=local))
-    return PUModel(
-        config=replace(model.config, kernel=kernel),
-        radius=model.radius,
-        points=model.points,
-        values=model.values,
-        centers=model.centers,
-        subdomains=solved,
-        node_index=model.node_index,
-        center_index=model.center_index,
-        illconditioned_solves=illcond,
-    )
+    return replace(model, config=replace(model.config, kernel=kernel),
+                   subdomains=solved, illconditioned_solves=illcond)
 
 
 def fit(points, values, config, search="cube"):

@@ -54,8 +54,8 @@ def desk_models(desk_data):
 
 def _runs(function, n, d):
     return {
-        fam: run_experiment(ExperimentSpec(n, d, fam, shape=OPTIMAL_SHAPES[fam],
-                                           function=function))
+        fam: run_experiment(ExperimentSpec(n, d, fam, function=function),
+                            OPTIMAL_SHAPES[fam])
         for fam in ("g", "m4", "w4")
     }
 
@@ -166,7 +166,7 @@ def test_criterion_06_convergence(request, capsys):
 def test_criterion_07_sweep_shape(capsys):
     with criterion(7, "G sweep has interior minimum; M4/W4 curves are flatter", capsys):
         sweeps = {
-            fam: sweep_shape(ExperimentSpec(4913, 512, fam, shape_range=rng_))
+            fam: sweep_shape(ExperimentSpec(4913, 512, fam), np.linspace(*rng_))
             for fam, rng_ in (("g", (1.0, 10.0, 19)),
                               ("m4", (1.0, 10.0, 19)),
                               ("w4", (0.1, 1.9, 19)))
@@ -187,8 +187,8 @@ def test_criterion_07_sweep_shape(capsys):
 def test_criterion_08_search_modes_agree_and_cube_is_faster(request, capsys):
     with criterion(8, "cube and scan RMSE bit-identical; cube fit faster", capsys):
         cube = request.getfixturevalue("large_f1")["w4"]
-        scan = run_experiment(ExperimentSpec(35937, 4096, "w4", shape=0.54,
-                                             search="no_cube"))
+        scan = run_experiment(ExperimentSpec(35937, 4096, "w4", search="no_cube"),
+                              0.54)
         assert cube.rmse == scan.rmse
         assert cube.max_abs_error == scan.max_abs_error
         assert cube.fit_seconds < scan.fit_seconds
@@ -202,8 +202,7 @@ def test_criterion_08_search_modes_agree_and_cube_is_faster(request, capsys):
 def test_criterion_09_m_max_cap(request, capsys):
     with criterion(9, "m_max=50 fits faster with < 100x RMSE loss", capsys):
         uncapped = request.getfixturevalue("large_f1")["w4"]
-        capped = run_experiment(ExperimentSpec(35937, 4096, "w4", shape=0.54,
-                                               m_max=50))
+        capped = run_experiment(ExperimentSpec(35937, 4096, "w4", m_max=50), 0.54)
         assert capped.fit_seconds < uncapped.fit_seconds
         assert capped.rmse < 100.0 * uncapped.rmse
 

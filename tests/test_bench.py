@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,22 +106,21 @@ def test_rmse_below_max_error():
 
 def test_experiment_spec_validation():
     with pytest.raises(ValueError, match="function"):
-        ExperimentSpec(100, 10, "g", shape=1.0, function="f9")
+        ExperimentSpec(100, 10, "g", function="f9")
     with pytest.raises(ValueError, match="search"):
-        ExperimentSpec(100, 10, "g", shape=1.0, search="kdtree")
+        ExperimentSpec(100, 10, "g", search="kdtree")
     with pytest.raises(ValueError, match="node_count"):
-        ExperimentSpec(0, 10, "g", shape=1.0)
-    with pytest.raises(ValueError, match="shape"):
-        ExperimentSpec(100, 10, "g")
+        ExperimentSpec(0, 10, "g")
 
 
 # ---------------------------------------------------------------- runs
 
-SMALL = ExperimentSpec(343, 43, "w4", shape=0.54, eval_grid_side=5)
+SMALL = ExperimentSpec(343, 43, "w4", eval_grid_side=5)
+M4 = ExperimentSpec(343, 43, "m4", eval_grid_side=5)
 
 
 def test_run_experiment_small():
-    res = run_experiment(SMALL)
+    res = run_experiment(SMALL, 0.54)
     assert isinstance(res, ExperimentResult)
     assert (res.n, res.d, res.kernel, res.shape) == (343, 43, "w4", 0.54)
     assert res.function == "f1" and res.mode == "cube"
@@ -135,22 +135,22 @@ def test_run_experiment_small():
     assert res.empty_subdomains == 0
 
 
+def test_run_experiment_reports_centers_placed():
+    # a grid of d = 5 places the whole 2^3 lattice
+    res = run_experiment(replace(SMALL, subdomain_count=5, center_source="grid"), 0.54)
+    assert res.d == 8 and res.uncovered_points == 0
+
+
 def test_run_experiment_deterministic():
-    a = run_experiment(SMALL)
-    b = run_experiment(SMALL)
+    a = run_experiment(SMALL, 0.54)
+    b = run_experiment(SMALL, 0.54)
     assert a.rmse == b.rmse
     assert a.max_abs_error == b.max_abs_error
 
 
-def test_run_experiment_needs_fixed_shape():
-    with pytest.raises(ValueError, match="sweep_shape"):
-        run_experiment(ExperimentSpec(100, 12, "g", shape_range=(1, 2, 3)))
-
-
 def test_sweep_single_point_matches_run():
-    res = run_experiment(SMALL)
-    swp = sweep_shape(ExperimentSpec(343, 43, "w4", shape_range=(0.54, 0.54, 1),
-                                     eval_grid_side=5))
+    res = run_experiment(SMALL, 0.54)
+    swp = sweep_shape(SMALL, [0.54])
     assert swp.points == ((0.54, res.rmse),)
     assert swp.best_shape == 0.54
     assert swp.best_rmse == res.rmse
@@ -158,8 +158,7 @@ def test_sweep_single_point_matches_run():
 
 
 def test_sweep_curve_and_argmin():
-    swp = sweep_shape(ExperimentSpec(343, 43, "m4", shape_range=(1.0, 5.0, 5),
-                                     eval_grid_side=5))
+    swp = sweep_shape(M4, [1.0, 2.0, 3.0, 4.0, 5.0])
     shapes = [s for s, _ in swp.points]
     assert shapes == [1.0, 2.0, 3.0, 4.0, 5.0]
     errs = [e for _, e in swp.points]
@@ -179,8 +178,7 @@ def test_sweep_singular_shape_scores_inf(monkeypatch):
         return real(geometry, kernel)
 
     monkeypatch.setattr(pu, "refit_kernel", fragile)
-    swp = sweep_shape(ExperimentSpec(343, 43, "m4", shape_range=(2.0, 4.0, 3),
-                                     eval_grid_side=5))
+    swp = sweep_shape(M4, [2.0, 3.0, 4.0])
     assert swp.points[1] == (3.0, float("inf"))
     assert len(swp.results) == 2
     assert swp.best_shape in (2.0, 4.0)
@@ -203,8 +201,7 @@ def test_sweep_capture_time_survives_singular_first_shape(monkeypatch):
 
     monkeypatch.setattr(pu, "fit_geometry", slow_geometry)
     monkeypatch.setattr(pu, "refit_kernel", first_fails)
-    swp = sweep_shape(ExperimentSpec(343, 43, "m4", shape_range=(2.0, 4.0, 3),
-                                     eval_grid_side=5))
+    swp = sweep_shape(M4, [2.0, 3.0, 4.0])
     assert swp.points[0] == (2.0, float("inf"))
     assert len(swp.results) == 2
     # the first shape that solves carries the capture time
@@ -217,14 +214,13 @@ def test_sweep_all_singular(monkeypatch):
         raise SingularSystemError(0, 1)
 
     monkeypatch.setattr(pu, "refit_kernel", broken)
-    swp = sweep_shape(ExperimentSpec(343, 43, "m4", shape_range=(2.0, 4.0, 2),
-                                     eval_grid_side=5))
+    swp = sweep_shape(M4, [2.0, 4.0])
     assert swp.best_rmse == float("inf")
     assert swp.results == ()
 
 
 def test_compare_search_agrees():
-    res_cube, res_scan = compare_search(SMALL)
+    res_cube, res_scan = compare_search(SMALL, 0.54)
     assert res_cube.mode == "cube" and res_scan.mode == "no_cube"
     assert res_cube.rmse == res_scan.rmse
     assert res_cube.max_abs_error == res_scan.max_abs_error

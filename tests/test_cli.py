@@ -1,6 +1,10 @@
+import dataclasses
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,47 +47,44 @@ def test_parse_shape_range():
 
 
 def test_parse_args_bench():
-    req = parse_args(["bench", "--nodes", "halton:4913", "--subdomains", "512",
-                      "--kernel", "g", "--shape", "2.7"])
-    assert req.command == "bench" and req.fit is None
-    spec = req.experiment
-    assert (spec.node_count, spec.subdomain_count) == (4913, 512)
-    assert (spec.kernel_family, spec.shape) == ("g", 2.7)
-    assert spec.function == "f1" and spec.eval_grid_side == 11
-    assert spec.search == "cube" and spec.center_source == "halton"
-    assert req.fmt == "csv" and req.out is None
+    args = parse_args(["bench", "--nodes", "halton:4913", "--subdomains", "512",
+                       "--kernel", "g", "--shape", "2.7"])
+    assert args.command == "bench" and args.shape == 2.7
+    assert args.spec == ExperimentSpec(4913, 512, "g")
+    assert args.search == "cube" and not hasattr(args, "shapes")
+    assert args.format == "csv" and args.out is None
 
 
 def test_parse_args_options_flow_through(tmp_path):
     out = str(tmp_path / "r.json")
-    req = parse_args(["bench", "--nodes", "halton:800", "--kernel", "m4",
-                      "--shape", "3", "--function", "f2", "--eval", "grid:7",
-                      "--mmax", "50", "--no-cube", "--format", "json",
-                      "--out", out])
-    spec = req.experiment
-    assert spec.subdomain_count == 100  # default n/8
-    assert spec.function == "f2" and spec.eval_grid_side == 7
-    assert spec.m_max == 50 and spec.search == "no_cube"
-    assert req.fmt == "json" and req.out == out
+    args = parse_args(["bench", "--nodes", "halton:800", "--kernel", "m4",
+                       "--shape", "3", "--function", "f2", "--eval", "grid:7",
+                       "--mmax", "50", "--no-cube", "--format", "json",
+                       "--out", out])
+    # subdomain count defaults to n/8
+    assert args.spec == ExperimentSpec(800, 100, "m4", function="f2",
+                                       eval_grid_side=7, m_max=50,
+                                       search="no_cube")
+    assert args.search == "no_cube"
+    assert args.format == "json" and args.out == out
 
 
 def test_parse_args_sweep_range():
-    req = parse_args(["sweep", "--nodes", "halton:343", "--kernel", "w4",
-                      "--range", "0.1:1.9:10"])
-    assert req.command == "sweep"
-    assert req.experiment.shape_range == (0.1, 1.9, 10)
-    assert req.experiment.shape is None
+    args = parse_args(["sweep", "--nodes", "halton:343", "--kernel", "w4",
+                       "--range", "0.1:1.9:10", "--centers", "grid"])
+    assert args.command == "sweep"
+    assert args.spec == ExperimentSpec(343, 43, "w4", center_source="grid")
+    assert np.array_equal(args.shapes, np.linspace(0.1, 1.9, 10))
+    assert not hasattr(args, "shape")
 
 
 def test_parse_args_fit_defaults():
-    req = parse_args(["fit", "--nodes", "file:pts.txt"])
-    fr = req.fit
-    assert req.command == "fit" and req.experiment is None
-    assert fr.nodes == ("file", "pts.txt")
-    assert fr.eval_points == ("grid", 11)
-    assert (fr.kernel, fr.shape) == (DEFAULT_KERNEL, DEFAULT_SHAPE)
-    assert fr.centers == "halton" and fr.subdomains is None
-    assert fr.function is None and fr.search == "cube"
+    args = parse_args(["fit", "--nodes", "file:pts.txt"])
+    assert args.command == "fit" and not hasattr(args, "spec")
+    assert args.nodes == "file:pts.txt" and args.eval_src == "grid:11"
+    assert (args.kernel, args.shape) == (DEFAULT_KERNEL, DEFAULT_SHAPE)
+    assert args.centers == "halton" and args.subdomains is None
+    assert args.function is None and args.search == "cube"
 
 
 @pytest.mark.parametrize("argv", [
@@ -105,6 +106,25 @@ def test_parse_args_fit_defaults():
 ])
 def test_parse_args_usage_errors(argv):
     with pytest.raises(UsageError):
+        parse_args(argv)
+
+
+def _readme_commands():
+    """Every `cubepu ...` command line in the README's code blocks, with
+    backslash-continued lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```[a-z]*\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("cubepu "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {c[0] for c in commands} == {"fit", "bench", "sweep", "compare-search"}
+    for argv in commands:
         parse_args(argv)
 
 
@@ -181,6 +201,28 @@ def test_render_results_csv_round_trips():
     assert fields[13] == "5"
 
 
+# the ExperimentResult field each output column renders
+COLUMN_FIELDS = {
+    "n": "n", "d": "d", "q": "q", "kernel": "kernel", "shape": "shape",
+    "function": "function", "mmax": "m_max", "mode": "mode", "rmse": "rmse",
+    "max_err": "max_abs_error", "fit_s": "fit_seconds",
+    "eval_s": "eval_seconds", "total_s": "total_seconds",
+    "warn_uncovered": "uncovered_points",
+    "warn_illcond": "illconditioned_solves", "warn_empty": "empty_subdomains",
+}
+
+
+def test_result_columns_name_each_field_in_order():
+    # rows are zipped from the dataclass, so a field without its column, or a
+    # column out of field order, would drop or mislabel a value in CSV and JSON
+    assert tuple(COLUMN_FIELDS) == RESULT_COLUMNS
+    fields = tuple(f.name for f in dataclasses.fields(ExperimentResult))
+    assert tuple(COLUMN_FIELDS.values()) == fields
+    res = _result()
+    row = json.loads(render_results(res, "json"))
+    assert row == {col: getattr(res, f) for col, f in COLUMN_FIELDS.items()}
+
+
 def test_render_results_json():
     one = json.loads(render_results(_result(), "json"))
     assert isinstance(one, dict)
@@ -229,7 +271,7 @@ def test_main_bench_csv(tmp_path, capsys):
     assert fields["q"] == "3" and fields["kernel"] == "w4"
     assert fields["warn_uncovered"] == "5" and fields["warn_illcond"] == "0"
     # the library call computes the same rmse, bit for bit
-    res = run_experiment(ExperimentSpec(343, 43, "w4", shape=0.54, eval_grid_side=5))
+    res = run_experiment(ExperimentSpec(343, 43, "w4", eval_grid_side=5), 0.54)
     assert float(fields["rmse"]) == res.rmse
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubepu import pu
+from cubepu.bench import eval_grid
 from cubepu.errors import (
     DegenerateGridWarning,
     EmptySubdomainError,
@@ -76,8 +77,20 @@ def test_make_centers_grid_lattice():
     assert np.array_equal(c[0], [0.25, 0.25, 0.25])
     assert np.array_equal(c[1], [0.75, 0.25, 0.25])
     assert np.array_equal(c[7], [0.75, 0.75, 0.75])
-    # non-cube count truncates the lattice
-    assert make_centers(_config(d=5, center_source="grid")).shape == (5, 3)
+    # a count that is not a cube places the whole lattice of the next cube
+    assert make_centers(_config(d=5, center_source="grid")).shape == (8, 3)
+
+
+@pytest.mark.parametrize("d,placed", [(500, 512), (614, 729)])
+def test_grid_centers_cover_the_lattice(d, placed):
+    pts = generate(HaltonConfig(4913))
+    model = fit(pts, np.sin(pts.sum(axis=1)),
+                _config(family="w4", shape=0.54, d=d, center_source="grid"))
+    m = round(placed ** (1 / 3))
+    assert model.centers.shape == (placed, 3) and len(model.subdomains) == placed
+    assert model.radius == subdomain_radius(placed)
+    assert model.radius == pytest.approx(math.sqrt(2) / m, rel=1e-15)
+    assert evaluate_report(model, eval_grid(21)).uncovered == 0
 
 
 def test_make_centers_explicit_passthrough():
@@ -116,9 +129,10 @@ def test_fit_subdomain_population_4913():
     r = geo.radius
     interior = np.array([((c >= r) & (c <= 1 - r)).all() for c in geo.centers])
     assert 95 <= sizes[interior].mean() <= 130
-    for sd in geo.subdomains[::37]:
+    for j in range(0, 512, 37):
+        sd = geo.subdomains[j]
         assert (np.diff(sd.node_ids) > 0).all()
-        d2 = ((pts[sd.node_ids] - sd.center) ** 2).sum(axis=1)
+        d2 = ((pts[sd.node_ids] - geo.centers[j]) ** 2).sum(axis=1)
         assert (d2 <= r * r + 1e-15).all()
 
 
@@ -126,14 +140,14 @@ def test_fit_m_max_keeps_nearest(nodes_1000):
     pts, vals = nodes_1000
     geo = fit_geometry(pts, vals, _config(d=64, m_max=20))
     full = fit_geometry(pts, vals, _config(d=64))
-    for sd_cap, sd_full in zip(geo.subdomains, full.subdomains):
+    for j, (sd_cap, sd_full) in enumerate(zip(geo.subdomains, full.subdomains)):
         assert sd_cap.node_ids.size <= 20
         if sd_full.node_ids.size <= 20:
             assert np.array_equal(sd_cap.node_ids, sd_full.node_ids)
             continue
         # reference: sort all captured ids by (distance, id), keep 20
         ids = sd_full.node_ids
-        d2 = ((pts[ids] - sd_cap.center) ** 2).sum(axis=1)
+        d2 = ((pts[ids] - geo.centers[j]) ** 2).sum(axis=1)
         want = np.sort(ids[np.lexsort((ids, d2))[:20]])
         assert np.array_equal(sd_cap.node_ids, want)
 
