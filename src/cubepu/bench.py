@@ -151,11 +151,17 @@ def _result(spec, shape, model, report, truth, fit_s, eval_s):
         total_seconds=fit_s + eval_s,
         uncovered_points=report.uncovered,
         illconditioned_solves=model.illconditioned_solves,
+        empty_subdomains=int(np.count_nonzero(model.empty)),
     )
 
 
 def run_experiment(spec, shape):
     """One experiment at one shape: generate, fit, evaluate on the grid, score."""
+    return _experiment(spec, shape)[0]
+
+
+def _experiment(spec, shape):
+    """run_experiment's result, and the evaluation report it scored."""
     nodes, values = _nodes_and_values(spec)
     t0 = time.perf_counter()
     model = pu.fit(nodes, values, _pu_config(spec, shape), search=spec.search)
@@ -165,7 +171,7 @@ def run_experiment(spec, shape):
     report = pu.evaluate_report(model, grid)
     eval_s = time.perf_counter() - t1
     truth = TEST_FUNCTIONS[spec.function](grid)
-    return _result(spec, shape, model, report, truth, fit_s, eval_s)
+    return _result(spec, shape, model, report, truth, fit_s, eval_s), report
 
 
 @dataclass(frozen=True)
@@ -222,8 +228,11 @@ def sweep_shape(spec, shapes):
 def compare_search(spec, shape):
     """Run the same experiment under both search engines.
 
-    Returns (cube_result, no_cube_result); the numeric columns must agree
-    exactly, only the timings differ."""
-    res_cube = run_experiment(replace(spec, search="cube"), shape)
-    res_scan = run_experiment(replace(spec, search="no_cube"), shape)
-    return res_cube, res_scan
+    Returns (cube_result, no_cube_result, identical).  `identical` says
+    whether the two engines gave the same evaluated lattice values, bit for
+    bit, and the same uncovered count; only the timings may differ."""
+    res_cube, rep_cube = _experiment(replace(spec, search="cube"), shape)
+    res_scan, rep_scan = _experiment(replace(spec, search="no_cube"), shape)
+    identical = (np.array_equal(rep_cube.values, rep_scan.values)
+                 and rep_cube.uncovered == rep_scan.uncovered)
+    return res_cube, res_scan, identical

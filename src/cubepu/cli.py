@@ -360,12 +360,18 @@ def _run_fit(args):
     if report.uncovered:
         print(
             f"warning: {report.uncovered} evaluation points outside every "
-            f"subdomain (nearest-center fallback used)",
+            f"subdomain that holds nodes (nearest-center fallback used)",
             file=sys.stderr,
         )
     if model.illconditioned_solves:
         print(
             f"warning: {model.illconditioned_solves} ill-conditioned local solves",
+            file=sys.stderr,
+        )
+    if model.empty.any():
+        print(
+            f"warning: {np.count_nonzero(model.empty)} subdomains contain no nodes "
+            f"(left out of the blend)",
             file=sys.stderr,
         )
     write_text(render_values(eval_pts, report.values, args.format), args.out)
@@ -386,9 +392,7 @@ def _run_sweep(args):
 
 
 def _run_compare(args):
-    res_cube, res_scan = bench.compare_search(args.spec, args.shape)
-    match = (res_cube.rmse == res_scan.rmse
-             and res_cube.max_abs_error == res_scan.max_abs_error)
+    res_cube, res_scan, match = bench.compare_search(args.spec, args.shape)
     speedup = res_scan.fit_seconds / res_cube.fit_seconds if res_cube.fit_seconds else float("inf")
     print(
         f"cube fit {res_cube.fit_seconds:.3f}s, scan fit {res_scan.fit_seconds:.3f}s "

@@ -6,6 +6,12 @@ with begin/end offsets per cell, so a query inspects at most the 3^3 = 27
 cells around its own and reads each (w, v)-run of cells as a single
 contiguous slice.
 
+The search is batched: `query_many(queries, radius)` answers a whole array
+of queries in CSR form, (offsets, ids) with each row's ids ascending.  It
+groups the queries by cell, because every query in a cell shares one halo,
+so the work per occupied cell is one halo read and one distance block rather
+than one Python call per query.  `query(center, radius)` is its one-row form.
+
 Choosing q = floor(1/radius) (never rounding up) keeps cube_side >= radius,
 which is what makes the one-cell halo sufficient: every point within `radius`
 of a query center lies in the center's cell or one of its 26 face/edge/corner
@@ -74,6 +80,11 @@ def _halo(params, cell):
     return np.maximum(cell - 1, 0), np.minimum(cell + 1, params.q - 1)
 
 
+# A distance block compares at most about this many (query, point) pairs,
+# which bounds its memory when few cells hold many queries and points.
+_BLOCK_PAIRS = 1 << 16
+
+
 @dataclass
 class CubeIndex:
     """Cube-bucketed point set.  Treat all arrays as read-only after build."""
@@ -85,42 +96,86 @@ class CubeIndex:
 
     def query(self, center, radius):
         """Ids of all stored points within `radius` (inclusive) of `center`,
-        ascending.
+        ascending: the one-row form of `query_many`."""
+        return self._search(as_point_array(center)[:1], radius)[1]
+
+    def query_many(self, centers, radius):
+        """Fixed-radius hits of every row of `centers`, in CSR form.
+
+        Returns (offsets, ids): ids[offsets[i]:offsets[i + 1]] are the ids of
+        the stored points within `radius` (inclusive) of row i, ascending.
+        The batch is validated once, and the queries are grouped by cell, so
+        each occupied cell reads its 27-cell halo once and compares all of
+        its queries with the halo's points in one distance block.
 
         Exactness requires the halo to reach the whole ball: either
         radius <= cube_side, or the clamped halo already spans every cell
-        (the degenerate small-q case).  Anything else raises.
+        (the degenerate small-q case).  A batch with any other row raises.
         """
+        return self._search(as_point_array(centers), radius)
+
+    def _search(self, c, radius):
+        # query and query_many share this body rather than calling each
+        # other, so a tracer wrapping both records one span per call.
         params = self.params
         if not (radius >= 0.0 and math.isfinite(radius)):
             raise ValueError(f"radius must be finite and >= 0, got {radius}")
-        c = as_point_array(center)
         ensure_in_unit_cube(c, "query center")
-        q = params.q
-        lo, hi = _halo(params, _cells0(params, c)[0])
+        q, k = params.q, c.shape[0]
+        cells = _cells0(params, c)
+        lo, hi = _halo(params, cells)
         if radius > params.cube_side:
-            spans_all = (lo == 0).all() and (hi == q - 1).all()
-            if not spans_all:
+            if not ((lo == 0) & (hi == q - 1)).all():
                 raise RadiusTooLargeError(
                     f"radius {radius} exceeds cube_side = {params.cube_side}; "
                     f"halo would miss points"
                 )
 
-        offs = self.cell_offsets
-        perm = self.permutation
+        flat = cells @ np.array([1, q, q * q])  # (w, v, u) cell rank
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        cuts = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
+        lo, hi = lo.tolist(), hi.tolist()
+        counts = np.zeros(k, dtype=np.int64)
+        found = []  # (rows of a distance block, their hits row by row)
+        r2 = radius * radius
+        for s, e in zip([0, *cuts], [*cuts, k]) if k else ():
+            cand = self._halo_points(lo[order[s]], hi[order[s]])
+            if cand.size == 0:
+                continue
+            sites = self.points[cand]
+            step = max(1, _BLOCK_PAIRS // cand.size)
+            for first in range(s, e, step):
+                rows = order[first:min(first + step, e)]
+                diff = sites - c[rows, None, :]
+                inside = (diff * diff).sum(axis=2) <= r2
+                counts[rows] = inside.sum(axis=1)
+                found.append((rows, cand[np.nonzero(inside)[1]]))
+
+        offsets = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        if len(found) == 1:
+            # one block holds every hit, already in row order
+            return offsets, found[0][1]
+        ids = np.empty(offsets[-1], dtype=np.int64)
+        for rows, hits in found:
+            n = counts[rows]
+            shift = offsets[rows] - (np.cumsum(n) - n)
+            ids[np.repeat(shift, n) + np.arange(hits.size)] = hits
+        return offsets, ids
+
+    def _halo_points(self, lo, hi):
+        """Ids stored in the cells from corner `lo` to corner `hi`
+        (inclusive, (u, v, w) lists), ascending."""
+        q, offs = self.params.q, self.cell_offsets
         runs = []
         for w in range(lo[2], hi[2] + 1):
             for v in range(lo[1], hi[1] + 1):
                 base = (w * q + v) * q
-                runs.append(perm[offs[base + lo[0]]: offs[base + hi[0] + 1]])
+                runs.append(self.permutation[offs[base + lo[0]]: offs[base + hi[0] + 1]])
         cand = np.concatenate(runs)
-        if cand.size == 0:
-            return cand
-        diff = self.points[cand] - c[0]
-        inside = (diff * diff).sum(axis=1) <= radius * radius
-        out = cand[inside]
-        out.sort()
-        return out
+        cand.sort()
+        return cand
 
 
 def build(points, params):
@@ -147,17 +202,31 @@ class BruteForceIndex:
     """Same query contract as CubeIndex, by scanning every stored point.
 
     Kept as the reference path for benchmarking the cube structure against,
-    and as the plain-scan engine behind --no-cube.
+    and as the plain-scan engine behind --no-cube: `query_many` is a plain
+    loop of per-row scans.
     """
 
     points: np.ndarray
 
     def query(self, center, radius):
+        return self._scan(self._validate(as_point_array(center)[:1], radius)[0], radius)
+
+    def query_many(self, centers, radius):
+        c = self._validate(as_point_array(centers), radius)
+        rows = [self._scan(p, radius) for p in c]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([r.size for r in rows], out=offsets[1:])
+        ids = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        return offsets, ids
+
+    @staticmethod
+    def _validate(c, radius):
         if not (radius >= 0.0 and math.isfinite(radius)):
             raise ValueError(f"radius must be finite and >= 0, got {radius}")
-        c = as_point_array(center)
-        ensure_in_unit_cube(c, "query center")
-        diff = self.points - c[0]
+        return ensure_in_unit_cube(c, "query center")
+
+    def _scan(self, p, radius):
+        diff = self.points - p
         inside = (diff * diff).sum(axis=1) <= radius * radius
         return np.flatnonzero(inside).astype(np.int64)
 

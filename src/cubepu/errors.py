@@ -31,15 +31,12 @@ class RadiusTooLargeError(InterpolationError):
 
 
 class EmptySubdomainError(InterpolationError):
-    """A subdomain ball captured zero nodes, so no local system exists."""
+    """Every subdomain ball captured zero nodes, so no local system exists.
+    (A fit drops single empty balls from the blend.)"""
 
-    def __init__(self, subdomain_id, center):
-        c = tuple(float(v) for v in center)
-        super().__init__(
-            f"subdomain {subdomain_id} at center {c} contains no nodes"
-        )
-        self.subdomain_id = subdomain_id
-        self.center = c
+    def __init__(self, subdomain_count):
+        super().__init__(f"all {subdomain_count} subdomains contain no nodes")
+        self.subdomain_count = subdomain_count
 
 
 class SingularSystemError(InterpolationError):

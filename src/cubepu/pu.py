@@ -8,12 +8,15 @@ captures, and the global surface blends the local ones with inverse-distance
     I(p) = sum_j W_j(p) R_j(p),   sum_j W_j(p) = 1 wherever p is covered.
 
 The same cube-partition search answers both capture (nodes near a center)
-and evaluation (centers near a point); a brute-force scan engine is kept as
-the reference path.  `blend_weights` gives every evaluation point its
-weights, including a point on a center and a point outside every ball, and
-`evaluate_report` applies them in one loop that accumulates subdomain
-contributions in ascending subdomain order, so results are reproducible bit
-for bit across search engines and batch shapes.
+and evaluation (centers near a point), one batched `query_many` call per
+job: capture asks for every ball at once, and evaluation asks once per
+block of points; a brute-force scan engine is kept as the reference path.
+A ball that captures no nodes stays in the model but never blends.
+`blend_weights` gives a block of points its weights in CSR form, including
+points on a center and points outside every ball, and `evaluate_report`
+applies them in one loop that accumulates subdomain contributions in
+ascending subdomain order, so results are reproducible bit for bit across
+search engines and batch shapes.
 """
 
 import math
@@ -72,7 +75,7 @@ class PUConfig:
 
 @dataclass
 class Subdomain:
-    node_ids: np.ndarray          # ascending original node ids, nonempty
+    node_ids: np.ndarray          # ascending original node ids; empty for a dropped ball
     coefficients: object = None   # LocalCoefficients once solved
 
 
@@ -86,6 +89,7 @@ class PUModel:
     subdomains: list
     node_index: object    # CubeIndex or BruteForceIndex over the nodes
     center_index: object  # same engine over the centers
+    empty: np.ndarray     # (d,) bool, the balls that captured no nodes
     illconditioned_solves: int = 0
 
 
@@ -144,8 +148,10 @@ def _build_index(points, radius, search):
 def fit_geometry(points, values, config, search="cube"):
     """Capture stage only: validate nodes, place centers, bucket both point
     sets, and record which nodes each ball owns.  The ball count and radius
-    come from the centers placed.  Coefficients stay unsolved so one
-    geometry can be re-solved under many kernels."""
+    come from the centers placed.  A ball that captures no nodes is kept,
+    marked in `empty`, and left out of every blend; only a fit whose balls
+    are all empty fails.  Coefficients stay unsolved so one geometry can be
+    re-solved under many kernels."""
     if search not in SEARCH_MODES:
         raise ValueError(f"search must be one of {SEARCH_MODES}, got {search!r}")
     pts, vals = _check_nodes(points, values)
@@ -158,11 +164,13 @@ def fit_geometry(points, values, config, search="cube"):
     node_index = _build_index(pts, radius, search)
     center_index = _build_index(centers, radius, search)
 
+    offsets, node_ids = node_index.query_many(centers, radius)
+    empty = offsets[1:] == offsets[:-1]
+    if empty.all():
+        raise EmptySubdomainError(d)
     subdomains = []
     for j in range(d):
-        ids = node_index.query(centers[j], radius)
-        if ids.size == 0:
-            raise EmptySubdomainError(j, centers[j])
+        ids = node_ids[offsets[j]:offsets[j + 1]]
         if config.m_max is not None and ids.size > config.m_max:
             diff = pts[ids] - centers[j]
             d2 = (diff * diff).sum(axis=1)
@@ -179,6 +187,7 @@ def fit_geometry(points, values, config, search="cube"):
         subdomains=subdomains,
         node_index=node_index,
         center_index=center_index,
+        empty=empty,
     )
 
 
@@ -188,6 +197,9 @@ def refit_kernel(model, kernel):
     solved = []
     illcond = 0
     for j, sd in enumerate(model.subdomains):
+        if model.empty[j]:
+            solved.append(sd)
+            continue
         local = solve_local(model.points[sd.node_ids], model.values[sd.node_ids],
                             kernel, subdomain_id=j)
         if local.condition_estimate >= ILL_CONDITION_LIMIT:
@@ -202,34 +214,63 @@ def fit(points, values, config, search="cube"):
     return refit_kernel(fit_geometry(points, values, config, search), config.kernel)
 
 
-def blend_weights(model, p):
-    """Unnormalized Shepard weights of the balls that blend at the point p.
+def blend_weights(model, points):
+    """Unnormalized Shepard weights of the balls that blend at each point.
 
-    Returns (ids, weights, covered) with ids ascending.  Every ball covering
-    p weighs 1/distance.  Centers closer than COINCIDENT_TOL weigh 1 each and
-    the other covering balls drop out.  An uncovered point (covered False)
-    takes its nearest center, ties to the lower id, with weight 1.
+    Returns (offsets, ids, weights, covered) for the rows of `points`:
+    ids[offsets[i]:offsets[i + 1]] are the balls that blend at row i,
+    ascending, weights holds their weights, and covered[i] says whether a
+    ball that holds nodes covers row i.  The covering centers come from one
+    `query_many` call and empty balls drop out.  Every remaining ball weighs
+    1/distance.  Centers closer than COINCIDENT_TOL weigh 1 each and the
+    other covering balls drop out.  An uncovered point takes its nearest
+    nonempty center, ties to the lower id, with weight 1.
     """
-    ids = model.center_index.query(p, model.radius)
-    if ids.size == 0:
-        diff = model.centers - p
-        return np.array([np.argmin((diff * diff).sum(axis=1))]), np.ones(1), False
-    diff = model.centers[ids] - p
+    pts = as_point_array(points)
+    k = pts.shape[0]
+    offsets, ids = model.center_index.query_many(pts, model.radius)
+    owner = np.repeat(np.arange(k), offsets[1:] - offsets[:-1])
+    if model.empty.any():
+        keep = ~model.empty[ids]
+        ids, owner = ids[keep], owner[keep]
+    diff = model.centers[ids] - pts[owner]
     dist = np.sqrt((diff * diff).sum(axis=1))
     hit = dist < COINCIDENT_TOL
     if hit.any():
-        return ids[hit], np.ones(int(hit.sum())), True
-    return ids, 1.0 / dist, True
+        on_center = np.zeros(k, dtype=bool)
+        on_center[owner[hit]] = True
+        keep = hit | ~on_center[owner]
+        ids, owner, dist = ids[keep], owner[keep], np.where(hit, 1.0, dist)[keep]
+    weights = 1.0 / dist
+    counts = np.bincount(owner, minlength=k)
+    covered = counts > 0
+    if not covered.all():
+        lost = np.flatnonzero(~covered)
+        nearest = np.empty(lost.size, dtype=np.int64)
+        for n, i in enumerate(lost):
+            diff = model.centers - pts[i]
+            d2 = (diff * diff).sum(axis=1)
+            d2[model.empty] = np.inf
+            nearest[n] = np.argmin(d2)
+        # owner is ascending, so a stable sort slots each fallback in place
+        order = np.argsort(np.concatenate([owner, lost]), kind="stable")
+        ids = np.concatenate([ids, nearest])[order]
+        weights = np.concatenate([weights, np.ones(lost.size)])[order]
+        counts[lost] = 1
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, ids, weights, covered
 
 
 def evaluate_report(model, points):
     """Blend the local interpolants at each row of `points`.
 
-    In each block of BLEND_BLOCK points, the (point, subdomain, weight)
-    triples of `blend_weights` are grouped by subdomain with a stable sort,
-    so each local interpolant is evaluated once over all the points of the
-    block it serves; num and den accumulate in ascending subdomain order and
-    each value is num / den.  The report counts the points no ball covered.
+    Each block of BLEND_BLOCK points takes its weights from one
+    `blend_weights` call.  The (point, subdomain, weight) triples are grouped
+    by subdomain with a stable sort, so each local interpolant is evaluated
+    once over all the points of the block it serves; num and den accumulate
+    in ascending subdomain order and each value is num / den.  The report
+    counts the points that no ball holding nodes covered.
     """
     pts = as_point_array(points)
     ensure_in_unit_cube(pts, "evaluation point")
@@ -238,15 +279,14 @@ def evaluate_report(model, points):
     den = np.zeros(k)
     uncovered = 0
     for first in range(0, k, BLEND_BLOCK):
-        blends = [blend_weights(model, p) for p in pts[first:first + BLEND_BLOCK]]
-        uncovered += sum(not b[2] for b in blends)
-        ids = np.concatenate([b[0] for b in blends])
+        offsets, ids, weights, covered = blend_weights(model, pts[first:first + BLEND_BLOCK])
+        uncovered += covered.size - int(np.count_nonzero(covered))
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
-        weights = np.concatenate([b[1] for b in blends])[order]
-        owner = first + np.repeat(np.arange(len(blends)), [b[0].size for b in blends])[order]
-        starts = np.flatnonzero(np.diff(ids, prepend=-1))
-        for s, e in zip(starts, np.append(starts[1:], ids.size)):
+        weights = weights[order]
+        owner = first + np.repeat(np.arange(covered.size), offsets[1:] - offsets[:-1])[order]
+        bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
+        for s, e in zip(bounds[:-1], bounds[1:]):
             sd = model.subdomains[ids[s]]
             if sd.coefficients is None:
                 raise RuntimeError("model geometry has no solved coefficients yet")

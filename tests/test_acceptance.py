@@ -124,13 +124,12 @@ def test_criterion_02_search_matches_brute_force(capsys):
 def test_criterion_03_partition_of_unity(request, capsys):
     with criterion(3, "covering weights sum to 1 within 1e-12 at 1331 points", capsys):
         model = request.getfixturevalue("desk_models")["w4"]
-        worst = 0.0
-        for p in eval_grid(11):
-            ids, w, covered = blend_weights(model, p)
-            assert covered and ids.size > 0
-            w = w / w.sum()  # the normalization evaluate_report's num / den applies
-            worst = max(worst, abs(float(w.sum()) - 1.0))
-            assert (w >= 0.0).all()
+        offsets, ids, w, covered = blend_weights(model, eval_grid(11))
+        assert covered.size == 1331 and covered.all()
+        assert (np.diff(offsets) > 0).all() and (w >= 0.0).all()
+        # the normalization evaluate_report's num / den applies, row by row
+        rows = np.split(w, offsets[1:-1])
+        worst = max(abs(float((r / r.sum()).sum()) - 1.0) for r in rows)
         assert worst <= 1e-12
 
 

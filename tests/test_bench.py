@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cubepu import pu
+from cubepu import bench, pu
 from cubepu.bench import (
     ExperimentResult,
     ExperimentSpec,
@@ -18,7 +18,7 @@ from cubepu.bench import (
     run_experiment,
     sweep_shape,
 )
-from cubepu.cube_index import grid_from_radius
+from cubepu.cube_index import BruteForceIndex, grid_from_radius
 from cubepu.errors import SingularSystemError
 
 
@@ -135,6 +135,20 @@ def test_run_experiment_small():
     assert res.empty_subdomains == 0
 
 
+def test_run_experiment_counts_empty_subdomains(monkeypatch):
+    # nodes in the half x < 0.5 leave the balls beyond it empty; the run
+    # drops them and reports how many
+    def half_cube(spec):
+        nodes = np.random.default_rng(0).random((spec.node_count, 3))
+        nodes[:, 0] *= 0.5
+        return nodes, f1(nodes)
+
+    monkeypatch.setattr(bench, "_nodes_and_values", half_cube)
+    res = run_experiment(ExperimentSpec(4000, 500, "w4"), 0.54)
+    assert res.empty_subdomains == 166
+    assert res.uncovered_points > 0 and np.isfinite(res.rmse)
+
+
 def test_run_experiment_reports_centers_placed():
     # a grid of d = 5 places the whole 2^3 lattice
     res = run_experiment(replace(SMALL, subdomain_count=5, center_source="grid"), 0.54)
@@ -220,8 +234,23 @@ def test_sweep_all_singular(monkeypatch):
 
 
 def test_compare_search_agrees():
-    res_cube, res_scan = compare_search(SMALL, 0.54)
+    res_cube, res_scan, identical = compare_search(SMALL, 0.54)
+    assert identical is True
     assert res_cube.mode == "cube" and res_scan.mode == "no_cube"
     assert res_cube.rmse == res_scan.rmse
     assert res_cube.max_abs_error == res_scan.max_abs_error
     assert res_cube.uncovered_points == res_scan.uncovered_points
+
+
+def test_compare_search_compares_values_bit_for_bit(monkeypatch):
+    # one lattice value of the scan run moves by one ulp: the runs differ
+    real = pu.evaluate_report
+
+    def nudged(model, points):
+        report = real(model, points)
+        if isinstance(model.center_index, BruteForceIndex):
+            report.values[7] = np.nextafter(report.values[7], np.inf)
+        return report
+
+    monkeypatch.setattr(pu, "evaluate_report", nudged)
+    assert compare_search(SMALL, 0.54)[2] is False

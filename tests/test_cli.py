@@ -354,15 +354,34 @@ def test_main_empty_file_is_input_error(tmp_path, capsys):
     assert main(["fit", "--nodes", f"file:{src}", "--function", "f1"]) == 2
 
 
-def test_main_numerical_failure_exit_code(tmp_path, capsys):
+def _corner_nodes(tmp_path):
     rng = np.random.default_rng(2)
     pts = rng.random((50, 3)) * 0.08
     src = tmp_path / "corner.txt"
     src.write_text("\n".join(f"{x:.17g} {y:.17g} {z:.17g} 1.0" for x, y, z in pts))
-    code = main(["fit", "--nodes", f"file:{src}", "--subdomains", "512",
-                 "--eval", "grid:3"])
+    return src
+
+
+def test_main_numerical_failure_exit_code(tmp_path, capsys):
+    # every ball empty: all centers sit in the corner opposite the nodes
+    centers = tmp_path / "centers.txt"
+    centers.write_text("\n".join(f"{0.9 + 0.01 * i} 0.95 0.95" for i in range(8)))
+    code = main(["fit", "--nodes", f"file:{_corner_nodes(tmp_path)}",
+                 "--centers", f"file:{centers}", "--eval", "grid:3"])
     assert code == 3
-    assert "numerical error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "all 8 subdomains contain no nodes" in err
+
+
+def test_main_fit_drops_empty_subdomains(tmp_path, capsys):
+    # nodes in one corner leave most of 512 balls empty: the fit drops them
+    # and warns
+    code = main(["fit", "--nodes", f"file:{_corner_nodes(tmp_path)}",
+                 "--subdomains", "512", "--eval", "grid:3"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.strip().split("\n")) == 1 + 27
+    assert re.search(r"warning: \d+ subdomains contain no nodes", captured.err)
 
 
 def test_main_unwritable_out_is_io_error(capsys):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubepu.cube_index import (
@@ -257,3 +258,100 @@ def test_query_matches_brute_force_hypothesis(seed, radius):
     c = rng.random(3)
     r = radius * rng.random()
     assert np.array_equal(idx.query(c, r), brute_ids(pts, c, r))
+
+
+# ---------------------------------------------------------------- batched queries
+
+_coord = st.one_of(st.sampled_from([0.0, 0.2, 0.25, 1 / 3, 0.5, 0.75, 1.0]),
+                   st.floats(0.0, 1.0, allow_subnormal=False))
+_point = st.tuples(_coord, _coord, _coord)
+
+
+def _engines(pts, radius):
+    """Both search engines over pts, the cube one sized for `radius`; a
+    radius above 1 gives the one-cell grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateGridWarning)
+        params = grid_from_radius(radius)
+    return build(pts, params), brute_force_index(pts)
+
+
+def _check_csr(index, queries, radius):
+    offsets, ids = index.query_many(queries, radius)
+    assert offsets.dtype == ids.dtype == np.int64
+    assert offsets.shape == (len(queries) + 1,) and offsets[0] == 0
+    assert (np.diff(offsets) >= 0).all() and offsets[-1] == ids.size
+    for i, c in enumerate(queries):
+        row = ids[offsets[i]:offsets[i + 1]]
+        assert (np.diff(row) > 0).all()
+        assert np.array_equal(row, index.query(c, radius))
+        assert np.array_equal(row, brute_ids(index.points, c, radius))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 150),
+       st.sampled_from([1.0, 0.3]),
+       st.one_of(st.floats(0.03, 0.5), st.floats(1.0, 1.8)),
+       st.sampled_from([0.0, 0.5, 1.0]),
+       st.lists(_point, max_size=30))
+def test_query_many_matches_query_and_scan(seed, n, spread, radius, frac, queries):
+    # clustered sets (spread 0.3) leave most cells empty; rows include faces,
+    # corners, cell boundaries, stored points and an empty batch
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 3)) * spread
+    queries = np.array(queries, dtype=float).reshape(-1, 3)
+    if n:
+        queries = np.vstack([queries, pts[rng.integers(0, n, 3)]])
+    for index in _engines(pts, radius):
+        _check_csr(index, queries, radius * frac)
+
+
+def test_query_many_edge_cases():
+    pts = generate(HaltonConfig(300))
+    corners = np.array([(x, y, z) for x in (0.0, 1.0)
+                        for y in (0.0, 1.0) for z in (0.0, 1.0)])
+    for radius in (0.2, 1.5):  # 5 cells a side, and the one-cell grid
+        for index in _engines(pts, radius):
+            offsets, ids = index.query_many(np.zeros((0, 3)), radius)
+            assert offsets.tolist() == [0] and ids.size == 0
+            _check_csr(index, np.vstack([corners, pts[:20]]), 0.0)
+            _check_csr(index, corners, radius)
+    # queries in cells that hold no point, around a lone point
+    for index in _engines(np.array([[0.05, 0.05, 0.05]]), 0.1):
+        _check_csr(index, np.array([[0.9, 0.9, 0.9], [0.1, 0.1, 0.1], [0.5, 0.5, 0.5]]), 0.1)
+
+
+def _outcome(call):
+    try:
+        call()
+    except (OutOfDomainError, RadiusTooLargeError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(_coord, st.sampled_from(
+           [-0.1, 1.2, float("nan"), float("inf")]))] * 3), max_size=8),
+       st.sampled_from([0.1, 1 / 3, 0.4, 0.9]))
+@example([(0.5, 0.5, 0.5), (0.0, 0.0, 0.0)], 0.9)   # a corner row's halo misses
+@example([(0.5, 0.5, 0.5), (0.4, 0.6, 0.5)], 0.9)   # middle cell: exact
+@example([(0.0, 0.0, 0.0), (1.2, 0.5, 0.5)], 0.9)   # the domain check comes first
+def test_query_many_raises_exactly_when_query_does(queries, radius):
+    # a 3-cell grid: from the middle cell a radius beyond the cube side is
+    # still exact, from any other cell it raises
+    pts = generate(HaltonConfig(100))
+    queries = np.array(queries, dtype=float).reshape(-1, 3)
+    for index in (build(pts, GridParams(cube_side=1 / 3, q=3)), brute_force_index(pts)):
+        rows = [_outcome(lambda c=c: index.query(c, radius)) for c in queries]
+        want = (OutOfDomainError if OutOfDomainError in rows
+                else RadiusTooLargeError if RadiusTooLargeError in rows else None)
+        assert _outcome(lambda: index.query_many(queries, radius)) is want
+        if want is None:
+            _check_csr(index, queries, radius)
+
+
+def test_query_many_validates_radius():
+    for index in _engines(generate(HaltonConfig(50)), 0.3):
+        for r in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                index.query_many(np.zeros((0, 3)), r)

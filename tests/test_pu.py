@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubepu import pu
-from cubepu.bench import eval_grid
+from cubepu.bench import eval_grid, f1
 from cubepu.errors import (
     DegenerateGridWarning,
     EmptySubdomainError,
@@ -31,6 +31,38 @@ from cubepu.rbf import KernelSpec, LocalCoefficients, local_values
 
 def _config(family="m4", shape=2.6, d=125, **kw):
     return PUConfig(kernel=KernelSpec(family, shape), subdomain_count=d, **kw)
+
+
+def _blend1(model, p):
+    """blend_weights at the single point p, as (ids, weights, covered)."""
+    offsets, ids, w, covered = blend_weights(model, np.reshape(p, (1, 3)))
+    assert offsets.tolist() == [0, ids.size] and covered.shape == (1,)
+    return ids, w, bool(covered[0])
+
+
+def _blend_by_hand(model, p):
+    """The blend at p written out point by point from one `query` call:
+    (ids ascending, weights, covered), independent of blend_weights."""
+    ids = model.center_index.query(p, model.radius)
+    ids = ids[~model.empty[ids]]
+    if ids.size == 0:
+        d2 = ((model.centers - p) ** 2).sum(axis=1)
+        d2[model.empty] = np.inf
+        return np.array([np.argmin(d2)]), np.ones(1), False
+    diff = model.centers[ids] - p
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    on = dist < pu.COINCIDENT_TOL
+    if on.any():
+        return ids[on], np.ones(int(on.sum())), True
+    return ids, 1.0 / dist, True
+
+
+def _value_by_hand(model, p):
+    num = den = 0.0
+    for j, w in zip(*_blend_by_hand(model, p)[:2]):
+        num += w * _local(model, j, p)
+        den += w
+    return num / den
 
 
 def _local(model, j, p):
@@ -169,13 +201,42 @@ def test_fit_rejects_bad_nodes():
 
 
 def test_fit_empty_subdomain_raises():
+    # only a fit whose balls are all empty fails: nodes in one corner,
+    # centers in the opposite one, farther apart than the radius
     rng = np.random.default_rng(0)
-    corner = rng.random((50, 3)) * 0.1  # all nodes in one corner
-    vals = np.ones(50)
-    with pytest.raises(EmptySubdomainError) as exc:
-        fit(corner, vals, _config(d=512))
-    assert 0 <= exc.value.subdomain_id < 512
-    assert len(exc.value.center) == 3
+    nodes = 0.9 + 0.1 * rng.random((50, 3))
+    centers = 0.1 * rng.random((8, 3))
+    for search in pu.SEARCH_MODES:
+        with pytest.raises(EmptySubdomainError) as exc:
+            fit(nodes, np.ones(50),
+                _config(d=8, center_source="explicit", centers=centers), search=search)
+        assert exc.value.subdomain_count == 8
+        assert "all 8 subdomains" in str(exc.value)
+
+
+@pytest.mark.parametrize("search", pu.SEARCH_MODES)
+def test_fit_drops_empty_subdomains(search):
+    # 4000 nodes with x < 0.5 leave 166 of 500 balls empty; the fit keeps
+    # them unsolved and out of every blend
+    rng = np.random.default_rng(0)
+    nodes = rng.random((4000, 3))
+    nodes[:, 0] *= 0.5
+    model = fit(nodes, np.cos(nodes.sum(axis=1)), _config("w4", 0.54, d=500),
+                search=search)
+    assert model.empty.shape == (500,) and model.empty.sum() == 166
+    for sd, empty in zip(model.subdomains, model.empty):
+        assert (sd.node_ids.size == 0) == empty
+        assert (sd.coefficients is None) == empty
+    lattice = eval_grid(11)
+    report = evaluate_report(model, lattice)
+    assert np.isfinite(report.values).all()
+    # points whose covering balls are all empty take the nearest nonempty
+    # center and count as uncovered
+    only_empty = [p for p in lattice
+                  if model.empty[model.center_index.query(p, model.radius)].all()]
+    assert report.uncovered == len(only_empty) > 0
+    for p, got in zip(lattice, report.values):
+        assert got == _value_by_hand(model, p)
 
 
 def test_fit_explicit_centers_validated():
@@ -215,7 +276,7 @@ def test_refit_kernel_reuses_geometry(nodes_1000):
 def test_shepard_weights_basic(model_1000):
     # covering balls weigh 1/distance, ascending ids
     p = np.array([0.5, 0.5, 0.5])
-    ids, w, covered = blend_weights(model_1000, p)
+    ids, w, covered = _blend1(model_1000, p)
     assert covered and ids.size > 0 and (np.diff(ids) > 0).all()
     dist = np.sqrt(((model_1000.centers[ids] - p) ** 2).sum(axis=1))
     assert np.array_equal(w, 1.0 / dist)
@@ -228,7 +289,7 @@ def test_shepard_weights_equidistant_pair():
     model = fit(pts, np.ones(100),
                 _config(d=2, center_source="explicit", centers=centers),
                 search="no_cube")
-    ids, w, covered = blend_weights(model, (0.5, 0.5, 0.5))
+    ids, w, covered = _blend1(model, (0.5, 0.5, 0.5))
     assert covered and np.array_equal(ids, [0, 1])
     assert np.array_equal(w / w.sum(), [0.5, 0.5])  # both distances are exactly 0.25
 
@@ -239,7 +300,7 @@ def test_shepard_weights_coincident_center():
     model = fit(pts, np.ones(100),
                 _config(d=3, center_source="explicit", centers=centers),
                 search="no_cube")
-    ids, w, covered = blend_weights(model, (0.6, 0.6, 0.6))
+    ids, w, covered = _blend1(model, (0.6, 0.6, 0.6))
     assert covered and np.array_equal(ids, [1]) and np.array_equal(w, [1.0])
     # two coincident centers split the weight; the other covering ball drops out
     centers2 = np.array([[0.4, 0.4, 0.4], [0.4, 0.4, 0.4], [0.8, 0.8, 0.8]])
@@ -247,21 +308,33 @@ def test_shepard_weights_coincident_center():
                  _config(d=3, center_source="explicit", centers=centers2),
                  search="no_cube")
     assert model2.center_index.query((0.4, 0.4, 0.4), model2.radius).size == 3
-    ids2, w2, covered2 = blend_weights(model2, (0.4, 0.4, 0.4))
+    ids2, w2, covered2 = _blend1(model2, (0.4, 0.4, 0.4))
     assert covered2 and np.array_equal(ids2, [0, 1])
     assert np.array_equal(w2 / w2.sum(), [0.5, 0.5])
 
 
+_coord = st.one_of(st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+                   st.floats(0.0, 1.0, allow_subnormal=False))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.tuples(*[st.floats(0.0, 1.0, allow_subnormal=False)] * 3))
-def test_shepard_weights_sum_to_one(model_1000, p):
-    ids, w, covered = blend_weights(model_1000, p)
-    assert ids.size == w.size >= 1
-    w = w / w.sum()
-    assert abs(w.sum() - 1.0) <= 1e-12
-    assert (w >= 0.0).all() and (w <= 1.0).all()
-    if not covered:
-        assert w.size == 1
+@given(st.lists(st.tuples(_coord, _coord, _coord), max_size=12))
+def test_shepard_weights_sum_to_one(model_1000, pts):
+    # a batch of points on faces, corners, centers' grid lines and anywhere
+    pts = np.array(pts, dtype=float).reshape(-1, 3)
+    offsets, ids, w, covered = blend_weights(model_1000, pts)
+    assert offsets[0] == 0 and offsets[-1] == ids.size == w.size
+    assert covered.shape == (len(pts),)
+    for i, p in enumerate(pts):
+        row_ids, row_w = ids[offsets[i]:offsets[i + 1]], w[offsets[i]:offsets[i + 1]]
+        want_ids, want_w, want_covered = _blend_by_hand(model_1000, p)
+        assert np.array_equal(row_ids, want_ids) and np.array_equal(row_w, want_w)
+        assert covered[i] == want_covered
+        row_w = row_w / row_w.sum()
+        assert abs(row_w.sum() - 1.0) <= 1e-12
+        assert (row_w >= 0.0).all() and (row_w <= 1.0).all()
+        if not covered[i]:
+            assert row_w.size == 1
 
 
 # ---------------------------------------------------------------- evaluate
@@ -300,17 +373,13 @@ def test_evaluate_batch_matches_scalar_bitwise(model_1000, monkeypatch):
     pts = np.vstack([rng.random((40, 3)), model_1000.centers, outside])
     report = evaluate_report(model_1000, pts)
     assert report.uncovered == 1
-    assert not blend_weights(model_1000, outside[0])[2]
+    assert not _blend1(model_1000, outside[0])[2]
     batch = report.values
     single = np.array([evaluate(model_1000, p) for p in pts])
     assert np.array_equal(batch, single)
     # reference: the blend written out point by point, ascending subdomain ids
     for p, got in zip(pts, batch):
-        num = den = 0.0
-        for j, w in zip(*blend_weights(model_1000, p)[:2]):
-            num += w * _local(model_1000, j, p)
-            den += w
-        assert got == num / den
+        assert got == _value_by_hand(model_1000, p)
     # rows of a batch do not depend on what else shares the batch or its block
     assert np.array_equal(evaluate_batch(model_1000, pts[:13]), batch[:13])
     monkeypatch.setattr(pu, "BLEND_BLOCK", 7)
@@ -332,7 +401,7 @@ def test_evaluate_search_mode_invariance(nodes_1000):
 
 def test_evaluate_locality(model_1000):
     p = np.array([[0.1, 0.2, 0.1]])
-    covering = set(blend_weights(model_1000, p[0])[0].tolist())
+    covering = set(_blend1(model_1000, p[0])[0].tolist())
     far_j = next(j for j in range(len(model_1000.subdomains)) if j not in covering)
     before = evaluate_batch(model_1000, p)[0]
     # corrupt a subdomain the point does not touch: value must not move a bit
@@ -366,7 +435,7 @@ def test_evaluate_uncovered_fallback():
     assert report.uncovered == 1
     d2 = ((model.centers - far[0]) ** 2).sum(axis=1)
     j = int(np.argmin(d2))
-    ids, w, covered = blend_weights(model, far[0])
+    ids, w, covered = _blend1(model, far[0])
     assert not covered and np.array_equal(ids, [j]) and np.array_equal(w, [1.0])
     assert report.values[0] == _local(model, j, far[0])
     # a covered point in the same batch is unaffected
@@ -382,7 +451,7 @@ def test_blend_weights_uncovered_tie_takes_lower_id():
     model = fit(pts, np.ones(100),
                 _config(d=3, center_source="explicit", centers=centers),
                 search="no_cube")
-    ids, w, covered = blend_weights(model, (0.9, 0.9, 0.9))
+    ids, w, covered = _blend1(model, (0.9, 0.9, 0.9))
     assert not covered and np.array_equal(ids, [0]) and np.array_equal(w, [1.0])
 
 
@@ -416,3 +485,73 @@ def test_fit_deterministic(nodes_1000):
     for sd_a, sd_b in zip(a.subdomains, b.subdomains):
         assert np.array_equal(sd_a.coefficients.coefficients,
                               sd_b.coefficients.coefficients)
+
+
+# ---------------------------------------------------------------- batched search guard
+
+CANONICAL = (("g", 2.7), ("m4", 2.6), ("w4", 0.54))
+
+
+@pytest.fixture(scope="module")
+def lattice_blends():
+    """4913 nodes, 512 balls: the 41^3 lattice with every point's blend
+    written out from its own scan of the centers, in point-major CSR form,
+    and a cache for the reference values of each kernel."""
+    nodes = generate(HaltonConfig(4913))
+    geo = fit_geometry(nodes, f1(nodes), _config(d=512), search="no_cube")
+    lattice = eval_grid(41)
+    rows = [_blend_by_hand(geo, p) for p in lattice]
+    blends = (np.concatenate([[0], np.cumsum([ids.size for ids, _, _ in rows])]),
+              np.concatenate([ids for ids, _, _ in rows]),
+              np.concatenate([w for _, w, _ in rows]))
+    uncovered = sum(not covered for _, _, covered in rows)
+    return nodes, lattice, blends, uncovered, {}
+
+
+def _reference_values(model, pts, blends):
+    """Values from per-point blends: each ball's local interpolant at the
+    points it serves (local_values is row-independent), then num and den
+    summed one ball at a time in each point's ascending ball order."""
+    offsets, ids, w = blends
+    owner = np.repeat(np.arange(len(pts)), np.diff(offsets))
+    local = np.empty(ids.size)
+    by_ball = np.argsort(ids, kind="stable")
+    for at in np.split(by_ball, np.flatnonzero(np.diff(ids[by_ball])) + 1):
+        sd = model.subdomains[ids[at[0]]]
+        local[at] = local_values(model.config.kernel, model.points[sd.node_ids],
+                                 sd.coefficients.coefficients, pts[owner[at]])
+    rank = np.arange(ids.size) - offsets[owner]
+    num = np.zeros(len(pts))
+    den = np.zeros(len(pts))
+    for t in range(rank.max() + 1):
+        at = rank == t
+        num[owner[at]] += w[at] * local[at]
+        den[owner[at]] += w[at]
+    return num / den
+
+
+@pytest.mark.parametrize("search", pu.SEARCH_MODES)
+def test_batched_search_matches_per_point_queries(search, lattice_blends):
+    # 4913/512 at the canonical shapes: capture against a per-center query
+    # loop, the 41^3 lattice against per-point blends, single points against
+    # the batch
+    nodes, lattice, blends, uncovered, reference = lattice_blends
+    values = f1(nodes)
+    geo = fit_geometry(nodes, values, _config(d=512), search=search)
+    capped = fit_geometry(nodes, values, _config(d=512, m_max=60), search=search)
+    for j, c in enumerate(geo.centers):
+        ids = geo.node_index.query(c, geo.radius)
+        assert np.array_equal(geo.subdomains[j].node_ids, ids)
+        d2 = ((nodes[ids] - c) ** 2).sum(axis=1)
+        assert np.array_equal(capped.subdomains[j].node_ids,
+                              np.sort(ids[np.lexsort((ids, d2))[:60]]))
+    sample = np.arange(0, len(lattice), 331)
+    for family, shape in CANONICAL:
+        model = refit_kernel(geo, KernelSpec(family, shape))
+        if family not in reference:
+            reference[family] = _reference_values(model, lattice, blends)
+        report = evaluate_report(model, lattice)
+        assert report.uncovered == uncovered
+        assert np.array_equal(report.values, reference[family])
+        single = [evaluate(model, p) for p in lattice[sample]]
+        assert np.array_equal(single, report.values[sample])
