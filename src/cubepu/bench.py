@@ -187,6 +187,8 @@ def sweep_shape(spec, shapes):
     and both cube structures across shape values; only the local solves and
     the evaluation rerun.  A shape whose solve collapses scores rmse = +inf
     rather than aborting the sweep."""
+    if len(shapes) == 0:
+        raise ValueError("sweep_shape needs at least one shape")
     nodes, values = _nodes_and_values(spec)
     grid = eval_grid(spec.eval_grid_side)
     truth = TEST_FUNCTIONS[spec.function](grid)

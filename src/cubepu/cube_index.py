@@ -7,10 +7,10 @@ cells around its own and reads each (w, v)-run of cells as a single
 contiguous slice.
 
 The search is batched: `query_many(queries, radius)` answers a whole array
-of queries in CSR form, (offsets, ids) with each row's ids ascending.  It
-groups the queries by cell, because every query in a cell shares one halo,
-so the work per occupied cell is one halo read and one distance block rather
-than one Python call per query.  `query(center, radius)` is its one-row form.
+of queries as (row, id) pairs sorted by row, then id.  It groups the queries
+by cell, because every query in a cell shares one halo, so the work per
+occupied cell is one halo read and one distance block rather than one Python
+call per query.  `query(center, radius)` is its one-row form.
 
 Choosing q = floor(1/radius) (never rounding up) keeps cube_side >= radius,
 which is what makes the one-cell halo sufficient: every point within `radius`
@@ -30,15 +30,16 @@ from .geometry import as_point_array, ensure_in_unit_cube
 
 @dataclass(frozen=True)
 class GridParams:
-    cube_side: float
     q: int
     q_ceil: int | None = None  # rounded-up cell count, for table reporting only
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if not self.cube_side > 0.0:
-            raise ValueError(f"cube_side must be positive, got {self.cube_side}")
+
+    @property
+    def cube_side(self):
+        return 1.0 / self.q
 
 
 def grid_from_radius(radius):
@@ -64,7 +65,7 @@ def grid_from_radius(radius):
             DegenerateGridWarning,
             stacklevel=2,
         )
-    return GridParams(cube_side=1.0 / q, q=q, q_ceil=q_ceil)
+    return GridParams(q=q, q_ceil=q_ceil)
 
 
 def _cells0(params, pts):
@@ -83,6 +84,7 @@ def _halo(params, cell):
 # A distance block compares at most about this many (query, point) pairs,
 # which bounds its memory when few cells hold many queries and points.
 _BLOCK_PAIRS = 1 << 16
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -100,13 +102,14 @@ class CubeIndex:
         return self._search(as_point_array(center)[:1], radius)[1]
 
     def query_many(self, centers, radius):
-        """Fixed-radius hits of every row of `centers`, in CSR form.
+        """Fixed-radius hits of every row of `centers`, as (row, id) pairs.
 
-        Returns (offsets, ids): ids[offsets[i]:offsets[i + 1]] are the ids of
-        the stored points within `radius` (inclusive) of row i, ascending.
-        The batch is validated once, and the queries are grouped by cell, so
-        each occupied cell reads its 27-cell halo once and compares all of
-        its queries with the halo's points in one distance block.
+        Returns (rows, ids): ids[t] is a stored point within `radius`
+        (inclusive) of row rows[t].  The pairs are sorted by row and then by
+        id, so the hits of one row form a run of ascending ids.  The batch is
+        validated once, and the queries are grouped by cell, so each occupied
+        cell reads its 27-cell halo once and compares all of its queries with
+        the halo's points in one distance block.
 
         Exactness requires the halo to reach the whole ball: either
         radius <= cube_side, or the clamped halo already spans every cell
@@ -136,9 +139,8 @@ class CubeIndex:
         flat = flat[order]
         cuts = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
         lo, hi = lo.tolist(), hi.tolist()
-        counts = np.zeros(k, dtype=np.int64)
-        found = []  # (rows of a distance block, their hits row by row)
-        r2 = radius * radius
+        keys = []  # row * n + id of each pair, one array per distance block
+        n, r2 = self.points.shape[0], radius * radius
         for s, e in zip([0, *cuts], [*cuts, k]) if k else ():
             cand = self._halo_points(lo[order[s]], hi[order[s]])
             if cand.size == 0:
@@ -146,23 +148,20 @@ class CubeIndex:
             sites = self.points[cand]
             step = max(1, _BLOCK_PAIRS // cand.size)
             for first in range(s, e, step):
-                rows = order[first:min(first + step, e)]
-                diff = sites - c[rows, None, :]
-                inside = (diff * diff).sum(axis=2) <= r2
-                counts[rows] = inside.sum(axis=1)
-                found.append((rows, cand[np.nonzero(inside)[1]]))
+                block = order[first:min(first + step, e)]
+                diff = sites - c[block, None, :]
+                row, hit = np.nonzero((diff * diff).sum(axis=2) <= r2)
+                keys.append(block[row] * n + cand[hit])
 
-        offsets = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        if len(found) == 1:
-            # one block holds every hit, already in row order
-            return offsets, found[0][1]
-        ids = np.empty(offsets[-1], dtype=np.int64)
-        for rows, hits in found:
-            n = counts[rows]
-            shift = offsets[rows] - (np.cumsum(n) - n)
-            ids[np.repeat(shift, n) + np.arange(hits.size)] = hits
-        return offsets, ids
+        # sorting the keys in place sorts the pairs by row, then id, with no
+        # second copy of them; one block's keys are sorted already
+        if len(keys) == 1:
+            keys = keys[0]
+        else:
+            keys = np.concatenate([_NO_IDS, *keys])
+            keys.sort()
+        rows = keys // n
+        return rows, np.remainder(keys, n, out=keys)
 
     def _halo_points(self, lo, hi):
         """Ids stored in the cells from corner `lo` to corner `hi`
@@ -213,11 +212,9 @@ class BruteForceIndex:
 
     def query_many(self, centers, radius):
         c = self._validate(as_point_array(centers), radius)
-        rows = [self._scan(p, radius) for p in c]
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([r.size for r in rows], out=offsets[1:])
-        ids = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        return offsets, ids
+        hits = [self._scan(p, radius) for p in c]
+        rows = np.repeat(np.arange(len(hits)), [h.size for h in hits])
+        return rows, np.concatenate([_NO_IDS, *hits])
 
     @staticmethod
     def _validate(c, radius):

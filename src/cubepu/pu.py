@@ -8,18 +8,20 @@ captures, and the global surface blends the local ones with inverse-distance
     I(p) = sum_j W_j(p) R_j(p),   sum_j W_j(p) = 1 wherever p is covered.
 
 The same cube-partition search answers both capture (nodes near a center)
-and evaluation (centers near a point), one batched `query_many` call per
-job: capture asks for every ball at once, and evaluation asks once per
-block of points; a brute-force scan engine is kept as the reference path.
+and evaluation (centers near a point) with (row, id) pairs, one batched
+`query_many` call per job: capture asks for every ball at once, and
+evaluation asks once per block of points; a brute-force scan engine is kept
+as the reference path.
 A ball that captures no nodes stays in the model but never blends.
-`blend_weights` gives a block of points its weights in CSR form, including
-points on a center and points outside every ball, and `evaluate_report`
-applies them in one loop that accumulates subdomain contributions in
-ascending subdomain order, so results are reproducible bit for bit across
-search engines and batch shapes.
+`blend_weights` gives a block of points its (point, ball, weight) triples,
+including points on a center and points outside every ball, and
+`evaluate_report` applies them in one loop that accumulates subdomain
+contributions in ascending subdomain order, so results are reproducible bit
+for bit across search engines and batch shapes.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,12 +63,12 @@ class PUConfig:
     centers: np.ndarray | None = None  # only read when center_source == "explicit"
 
     def __post_init__(self):
-        if self.subdomain_count < 1:
-            raise ValueError(
-                f"subdomain_count must be >= 1, got {self.subdomain_count}"
-            )
-        if self.m_max is not None and self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1 when given, got {self.m_max}")
+        for name in ("subdomain_count", "m_max"):
+            value = getattr(self, name)
+            if name == "m_max" and value is None:
+                continue
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.center_source not in ("halton", "grid", "explicit"):
             raise ValueError(f"unknown center source {self.center_source!r}")
         if self.center_source == "explicit" and self.centers is None:
@@ -164,13 +166,14 @@ def fit_geometry(points, values, config, search="cube"):
     node_index = _build_index(pts, radius, search)
     center_index = _build_index(centers, radius, search)
 
-    offsets, node_ids = node_index.query_many(centers, radius)
-    empty = offsets[1:] == offsets[:-1]
+    rows, node_ids = node_index.query_many(centers, radius)
+    bounds = np.searchsorted(rows, np.arange(d + 1))
+    empty = bounds[1:] == bounds[:-1]
     if empty.all():
         raise EmptySubdomainError(d)
     subdomains = []
     for j in range(d):
-        ids = node_ids[offsets[j]:offsets[j + 1]]
+        ids = node_ids[bounds[j]:bounds[j + 1]]
         if config.m_max is not None and ids.size > config.m_max:
             diff = pts[ids] - centers[j]
             d2 = (diff * diff).sum(axis=1)
@@ -217,19 +220,18 @@ def fit(points, values, config, search="cube"):
 def blend_weights(model, points):
     """Unnormalized Shepard weights of the balls that blend at each point.
 
-    Returns (offsets, ids, weights, covered) for the rows of `points`:
-    ids[offsets[i]:offsets[i + 1]] are the balls that blend at row i,
-    ascending, weights holds their weights, and covered[i] says whether a
-    ball that holds nodes covers row i.  The covering centers come from one
-    `query_many` call and empty balls drop out.  Every remaining ball weighs
-    1/distance.  Centers closer than COINCIDENT_TOL weigh 1 each and the
-    other covering balls drop out.  An uncovered point takes its nearest
-    nonempty center, ties to the lower id, with weight 1.
+    Returns (owner, ids, weights, covered): ball ids[t] blends at row
+    owner[t] of `points` with weight weights[t], and covered[i] says whether
+    a ball that holds nodes covers row i.  The covering balls come from one
+    `query_many` call, as runs of ascending ids per row, and empty balls drop
+    out.  Every remaining ball weighs 1/distance.  Centers closer than
+    COINCIDENT_TOL weigh 1 each and the other covering balls drop out.  An
+    uncovered point takes its nearest nonempty center, ties to the lower id,
+    with weight 1, in a pair appended after all the covered ones.
     """
     pts = as_point_array(points)
     k = pts.shape[0]
-    offsets, ids = model.center_index.query_many(pts, model.radius)
-    owner = np.repeat(np.arange(k), offsets[1:] - offsets[:-1])
+    owner, ids = model.center_index.query_many(pts, model.radius)
     if model.empty.any():
         keep = ~model.empty[ids]
         ids, owner = ids[keep], owner[keep]
@@ -242,8 +244,7 @@ def blend_weights(model, points):
         keep = hit | ~on_center[owner]
         ids, owner, dist = ids[keep], owner[keep], np.where(hit, 1.0, dist)[keep]
     weights = 1.0 / dist
-    counts = np.bincount(owner, minlength=k)
-    covered = counts > 0
+    covered = np.bincount(owner, minlength=k) > 0
     if not covered.all():
         lost = np.flatnonzero(~covered)
         nearest = np.empty(lost.size, dtype=np.int64)
@@ -252,14 +253,10 @@ def blend_weights(model, points):
             d2 = (diff * diff).sum(axis=1)
             d2[model.empty] = np.inf
             nearest[n] = np.argmin(d2)
-        # owner is ascending, so a stable sort slots each fallback in place
-        order = np.argsort(np.concatenate([owner, lost]), kind="stable")
-        ids = np.concatenate([ids, nearest])[order]
-        weights = np.concatenate([weights, np.ones(lost.size)])[order]
-        counts[lost] = 1
-    offsets = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, ids, weights, covered
+        owner = np.concatenate([owner, lost])
+        ids = np.concatenate([ids, nearest])
+        weights = np.concatenate([weights, np.ones(lost.size)])
+    return owner, ids, weights, covered
 
 
 def evaluate_report(model, points):
@@ -279,12 +276,12 @@ def evaluate_report(model, points):
     den = np.zeros(k)
     uncovered = 0
     for first in range(0, k, BLEND_BLOCK):
-        offsets, ids, weights, covered = blend_weights(model, pts[first:first + BLEND_BLOCK])
+        owner, ids, weights, covered = blend_weights(model, pts[first:first + BLEND_BLOCK])
         uncovered += covered.size - int(np.count_nonzero(covered))
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         weights = weights[order]
-        owner = first + np.repeat(np.arange(covered.size), offsets[1:] - offsets[:-1])[order]
+        owner = first + owner[order]
         bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
         for s, e in zip(bounds[:-1], bounds[1:]):
             sd = model.subdomains[ids[s]]

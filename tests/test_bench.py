@@ -111,6 +111,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(100, 10, "g", search="kdtree")
     with pytest.raises(ValueError, match="node_count"):
         ExperimentSpec(0, 10, "g")
+    with pytest.raises(ValueError, match="at least one shape"):
+        sweep_shape(ExperimentSpec(100, 10, "g"), [])
 
 
 # ---------------------------------------------------------------- runs

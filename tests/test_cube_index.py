@@ -79,7 +79,7 @@ def test_grid_side_never_below_radius(radius):
 
 def test_cell_of():
     # 0-based cell coordinates along x, y, z
-    p6 = GridParams(cube_side=1 / 6, q=6)
+    p6 = GridParams(q=6)
     pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0.99, 0.0, 1.0]])
     cells = _cells0(p6, pts)
     assert cells.tolist() == [[0, 0, 0], [3, 3, 3], [5, 5, 5], [5, 0, 5]]  # far face clamps in
@@ -88,12 +88,12 @@ def test_cell_of():
 @given(st.integers(1, 23),
        st.tuples(*[st.floats(0.0, 1.0, allow_subnormal=False)] * 3))
 def test_cell_of_in_range(q, p):
-    c = _cells0(GridParams(cube_side=1.0 / q, q=q), np.array([p]))[0]
+    c = _cells0(GridParams(q=q), np.array([p]))[0]
     assert all(0 <= v < q for v in c)
 
 
 def test_neighbor_cell_range():
-    p6 = GridParams(cube_side=1 / 6, q=6)
+    p6 = GridParams(q=6)
     first, last = _halo(p6, np.array([2, 2, 2]))     # interior: 27 cells
     assert first.tolist() == [1, 1, 1] and last.tolist() == [3, 3, 3]
     first, last = _halo(p6, np.array([0, 0, 0]))     # corner: 8 cells
@@ -105,7 +105,7 @@ def test_neighbor_cell_range():
 @given(st.integers(1, 23), st.tuples(*[st.integers(0, 22)] * 3))
 def test_halo_never_exceeds_27_cells(q, cell):
     cell = np.minimum(np.array(cell), q - 1)
-    first, last = _halo(GridParams(cube_side=1.0 / q, q=q), cell)
+    first, last = _halo(GridParams(q=q), cell)
     spans = last - first + 1
     assert ((first >= 0) & (last < q)).all()
     assert all(1 <= s <= 3 for s in spans)
@@ -117,7 +117,7 @@ def test_halo_never_exceeds_27_cells(q, cell):
 def test_build_octants():
     pts = np.array([[i, j, k] for k in (0.25, 0.75) for j in (0.25, 0.75)
                     for i in (0.25, 0.75)])
-    idx = build(pts, GridParams(cube_side=0.5, q=2))
+    idx = build(pts, GridParams(q=2))
     counts = np.diff(idx.cell_offsets)
     assert counts.shape == (8,)
     assert (counts == 1).all()
@@ -129,7 +129,7 @@ def test_build_octants():
 
 
 def test_build_empty():
-    idx = build([], GridParams(cube_side=0.5, q=2))
+    idx = build([], GridParams(q=2))
     assert idx.cell_offsets[-1] == 0
     assert nonempty_cells(idx) == 0
     assert idx.query((0.5, 0.5, 0.5), 0.4).size == 0
@@ -137,9 +137,9 @@ def test_build_empty():
 
 def test_build_rejects_out_of_domain():
     with pytest.raises(OutOfDomainError):
-        build([(0.5, 0.5, 1.5)], GridParams(cube_side=0.5, q=2))
+        build([(0.5, 0.5, 1.5)], GridParams(q=2))
     with pytest.raises(OutOfDomainError):
-        build([(0.5, np.nan, 0.5)], GridParams(cube_side=0.5, q=2))
+        build([(0.5, np.nan, 0.5)], GridParams(q=2))
 
 
 def test_build_deterministic_and_cell_consistent():
@@ -162,8 +162,8 @@ def test_build_deterministic_and_cell_consistent():
 def test_nonempty_cells_halton_4913():
     # 4913 Halton points fill every cell at q = 6 (216 cells) and q = 5
     pts = generate(HaltonConfig(4913))
-    assert nonempty_cells(build(pts, GridParams(cube_side=1 / 6, q=6))) == 216
-    assert nonempty_cells(build(pts, GridParams(cube_side=0.2, q=5))) == 125
+    assert nonempty_cells(build(pts, GridParams(q=6))) == 216
+    assert nonempty_cells(build(pts, GridParams(q=5))) == 125
 
 
 # ---------------------------------------------------------------- queries
@@ -186,7 +186,7 @@ def test_radius_query_validates_center_and_radius():
 
 
 def test_radius_query_too_large_raises():
-    idx = build(generate(HaltonConfig(100)), GridParams(cube_side=1 / 3, q=3))
+    idx = build(generate(HaltonConfig(100)), GridParams(q=3))
     # halo around a corner cell spans only 2 cells per axis: cannot reach
     with pytest.raises(RadiusTooLargeError):
         idx.query((0.05, 0.05, 0.05), 0.4)
@@ -194,6 +194,12 @@ def test_radius_query_too_large_raises():
     # radius beyond one cube side is still answered exactly
     ids = idx.query((0.5, 0.5, 0.5), 0.4)
     assert np.array_equal(ids, brute_ids(idx.points, (0.5, 0.5, 0.5), 0.4))
+    # the cube side is 1/q, so on 6 cells a radius above 1/6 raises from the
+    # middle too, where the halo spans 3 of the 6 cells per axis
+    idx6 = build(generate(HaltonConfig(2000)), GridParams(q=6))
+    assert idx6.params.cube_side == 1 / 6
+    with pytest.raises(RadiusTooLargeError):
+        idx6.query((0.5, 0.5, 0.5), 0.45)
 
 
 def test_radius_query_boundary_inclusive():
@@ -276,13 +282,14 @@ def _engines(pts, radius):
     return build(pts, params), brute_force_index(pts)
 
 
-def _check_csr(index, queries, radius):
-    offsets, ids = index.query_many(queries, radius)
-    assert offsets.dtype == ids.dtype == np.int64
-    assert offsets.shape == (len(queries) + 1,) and offsets[0] == 0
-    assert (np.diff(offsets) >= 0).all() and offsets[-1] == ids.size
+def _check_pairs(index, queries, radius):
+    rows, ids = index.query_many(queries, radius)
+    assert rows.dtype == ids.dtype == np.int64 and rows.shape == ids.shape
+    assert (np.diff(rows) >= 0).all()
+    bounds = np.searchsorted(rows, np.arange(len(queries) + 1))
+    assert bounds[0] == 0 and bounds[-1] == rows.size  # every row in range
     for i, c in enumerate(queries):
-        row = ids[offsets[i]:offsets[i + 1]]
+        row = ids[bounds[i]:bounds[i + 1]]
         assert (np.diff(row) > 0).all()
         assert np.array_equal(row, index.query(c, radius))
         assert np.array_equal(row, brute_ids(index.points, c, radius))
@@ -303,7 +310,7 @@ def test_query_many_matches_query_and_scan(seed, n, spread, radius, frac, querie
     if n:
         queries = np.vstack([queries, pts[rng.integers(0, n, 3)]])
     for index in _engines(pts, radius):
-        _check_csr(index, queries, radius * frac)
+        _check_pairs(index, queries, radius * frac)
 
 
 def test_query_many_edge_cases():
@@ -312,13 +319,13 @@ def test_query_many_edge_cases():
                         for y in (0.0, 1.0) for z in (0.0, 1.0)])
     for radius in (0.2, 1.5):  # 5 cells a side, and the one-cell grid
         for index in _engines(pts, radius):
-            offsets, ids = index.query_many(np.zeros((0, 3)), radius)
-            assert offsets.tolist() == [0] and ids.size == 0
-            _check_csr(index, np.vstack([corners, pts[:20]]), 0.0)
-            _check_csr(index, corners, radius)
+            rows, ids = index.query_many(np.zeros((0, 3)), radius)
+            assert rows.size == ids.size == 0
+            _check_pairs(index, np.vstack([corners, pts[:20]]), 0.0)
+            _check_pairs(index, corners, radius)
     # queries in cells that hold no point, around a lone point
     for index in _engines(np.array([[0.05, 0.05, 0.05]]), 0.1):
-        _check_csr(index, np.array([[0.9, 0.9, 0.9], [0.1, 0.1, 0.1], [0.5, 0.5, 0.5]]), 0.1)
+        _check_pairs(index, np.array([[0.9, 0.9, 0.9], [0.1, 0.1, 0.1], [0.5, 0.5, 0.5]]), 0.1)
 
 
 def _outcome(call):
@@ -341,13 +348,13 @@ def test_query_many_raises_exactly_when_query_does(queries, radius):
     # still exact, from any other cell it raises
     pts = generate(HaltonConfig(100))
     queries = np.array(queries, dtype=float).reshape(-1, 3)
-    for index in (build(pts, GridParams(cube_side=1 / 3, q=3)), brute_force_index(pts)):
+    for index in (build(pts, GridParams(q=3)), brute_force_index(pts)):
         rows = [_outcome(lambda c=c: index.query(c, radius)) for c in queries]
         want = (OutOfDomainError if OutOfDomainError in rows
                 else RadiusTooLargeError if RadiusTooLargeError in rows else None)
         assert _outcome(lambda: index.query_many(queries, radius)) is want
         if want is None:
-            _check_csr(index, queries, radius)
+            _check_pairs(index, queries, radius)
 
 
 def test_query_many_validates_radius():

@@ -35,8 +35,8 @@ def _config(family="m4", shape=2.6, d=125, **kw):
 
 def _blend1(model, p):
     """blend_weights at the single point p, as (ids, weights, covered)."""
-    offsets, ids, w, covered = blend_weights(model, np.reshape(p, (1, 3)))
-    assert offsets.tolist() == [0, ids.size] and covered.shape == (1,)
+    owner, ids, w, covered = blend_weights(model, np.reshape(p, (1, 3)))
+    assert (owner == 0).all() and covered.shape == (1,)
     return ids, w, bool(covered[0])
 
 
@@ -198,6 +198,11 @@ def test_fit_rejects_bad_nodes():
         fit([(0.5, 0.5, 1.5)], [1.0], cfg)
     with pytest.raises(ValueError, match="search"):
         fit([(0.5, 0.5, 0.5)], [1.0], cfg, search="octree")
+    # counts must be integers: numpy integers pass, 8.5 balls or 2.5 nodes do not
+    assert _config(d=np.int64(8), m_max=np.int32(20)).m_max == 20
+    for kw in ({"d": 8.5}, {"d": 0}, {"m_max": 2.5}, {"m_max": 0}):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            _config(**kw)
 
 
 def test_fit_empty_subdomain_raises():
@@ -322,11 +327,11 @@ _coord = st.one_of(st.sampled_from([0.0, 0.2, 0.5, 1.0]),
 def test_shepard_weights_sum_to_one(model_1000, pts):
     # a batch of points on faces, corners, centers' grid lines and anywhere
     pts = np.array(pts, dtype=float).reshape(-1, 3)
-    offsets, ids, w, covered = blend_weights(model_1000, pts)
-    assert offsets[0] == 0 and offsets[-1] == ids.size == w.size
-    assert covered.shape == (len(pts),)
+    owner, ids, w, covered = blend_weights(model_1000, pts)
+    assert owner.shape == ids.shape == w.shape
+    assert ((owner >= 0) & (owner < len(pts))).all() and covered.shape == (len(pts),)
     for i, p in enumerate(pts):
-        row_ids, row_w = ids[offsets[i]:offsets[i + 1]], w[offsets[i]:offsets[i + 1]]
+        row_ids, row_w = ids[owner == i], w[owner == i]
         want_ids, want_w, want_covered = _blend_by_hand(model_1000, p)
         assert np.array_equal(row_ids, want_ids) and np.array_equal(row_w, want_w)
         assert covered[i] == want_covered
@@ -495,13 +500,14 @@ CANONICAL = (("g", 2.7), ("m4", 2.6), ("w4", 0.54))
 @pytest.fixture(scope="module")
 def lattice_blends():
     """4913 nodes, 512 balls: the 41^3 lattice with every point's blend
-    written out from its own scan of the centers, in point-major CSR form,
-    and a cache for the reference values of each kernel."""
+    written out from its own scan of the centers, as (point, ball, weight)
+    triples in point-major order, and a cache for the reference values of
+    each kernel."""
     nodes = generate(HaltonConfig(4913))
     geo = fit_geometry(nodes, f1(nodes), _config(d=512), search="no_cube")
     lattice = eval_grid(41)
     rows = [_blend_by_hand(geo, p) for p in lattice]
-    blends = (np.concatenate([[0], np.cumsum([ids.size for ids, _, _ in rows])]),
+    blends = (np.repeat(np.arange(len(rows)), [ids.size for ids, _, _ in rows]),
               np.concatenate([ids for ids, _, _ in rows]),
               np.concatenate([w for _, w, _ in rows]))
     uncovered = sum(not covered for _, _, covered in rows)
@@ -512,15 +518,14 @@ def _reference_values(model, pts, blends):
     """Values from per-point blends: each ball's local interpolant at the
     points it serves (local_values is row-independent), then num and den
     summed one ball at a time in each point's ascending ball order."""
-    offsets, ids, w = blends
-    owner = np.repeat(np.arange(len(pts)), np.diff(offsets))
+    owner, ids, w = blends
     local = np.empty(ids.size)
     by_ball = np.argsort(ids, kind="stable")
     for at in np.split(by_ball, np.flatnonzero(np.diff(ids[by_ball])) + 1):
         sd = model.subdomains[ids[at[0]]]
         local[at] = local_values(model.config.kernel, model.points[sd.node_ids],
                                  sd.coefficients.coefficients, pts[owner[at]])
-    rank = np.arange(ids.size) - offsets[owner]
+    rank = np.arange(ids.size) - np.searchsorted(owner, owner)  # place in the point's run
     num = np.zeros(len(pts))
     den = np.zeros(len(pts))
     for t in range(rank.max() + 1):
