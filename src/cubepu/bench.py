@@ -11,6 +11,7 @@ thing the paper's experiments vary on a fixed setup, is passed to each run:
 `sweep_shape(spec, shapes)`.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -96,8 +97,10 @@ class ExperimentSpec:
             raise ValueError(
                 f"search must be one of {pu.SEARCH_MODES}, got {self.search!r}"
             )
-        if self.node_count < 1:
-            raise ValueError(f"node_count must be >= 1, got {self.node_count}")
+        for name, least in (("node_count", 1), ("eval_grid_side", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

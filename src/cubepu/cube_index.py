@@ -12,6 +12,11 @@ by cell, because every query in a cell shares one halo, so the work per
 occupied cell is one halo read and one distance block rather than one Python
 call per query.  `query(center, radius)` is its one-row form.
 
+A hit is a stored point whose squared distance, summed one coordinate at a
+time as ((dx^2 + dy^2) + dz^2) by `geometry.squared_distances`, is at most
+radius^2.  The scan engine compares with the same routine, so the two
+engines agree on every pair, ties on the sphere included.
+
 Choosing q = floor(1/radius) (never rounding up) keeps cube_side >= radius,
 which is what makes the one-cell halo sufficient: every point within `radius`
 of a query center lies in the center's cell or one of its 26 face/edge/corner
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGridWarning, RadiusTooLargeError
-from .geometry import as_point_array, ensure_in_unit_cube
+from .geometry import as_point_array, ensure_in_unit_cube, squared_distances
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,8 @@ class CubeIndex:
             step = max(1, _BLOCK_PAIRS // cand.size)
             for first in range(s, e, step):
                 block = order[first:min(first + step, e)]
-                diff = sites - c[block, None, :]
-                row, hit = np.nonzero((diff * diff).sum(axis=2) <= r2)
+                d2 = squared_distances(sites, c[block, None, :])
+                row, hit = np.nonzero(d2 <= r2)
                 keys.append(block[row] * n + cand[hit])
 
         # sorting the keys in place sorts the pairs by row, then id, with no
@@ -223,8 +228,7 @@ class BruteForceIndex:
         return ensure_in_unit_cube(c, "query center")
 
     def _scan(self, p, radius):
-        diff = self.points - p
-        inside = (diff * diff).sum(axis=1) <= radius * radius
+        inside = squared_distances(self.points, p) <= radius * radius
         return np.flatnonzero(inside).astype(np.int64)
 
 

@@ -1,4 +1,5 @@
-"""Validation and coercion for points in the closed unit cube.
+"""Validation and coercion for points in the closed unit cube, and the one
+squared-distance routine that search and blend share.
 
 Everything downstream works on float64 arrays of shape (n, 3).
 """
@@ -36,3 +37,21 @@ def ensure_in_unit_cube(pts, what="point"):
             f"{what} {i} = {tuple(pts[i])} is outside the closed unit cube"
         )
     return pts
+
+
+def squared_distances(a, b):
+    """Squared Euclidean distances between the 3-vectors of `a` and `b`,
+    broadcast against each other over every axis but the last.
+
+    The sum runs one coordinate at a time, ((dx^2 + dy^2) + dz^2), with
+    in-place operations: the order numpy's sum over a length-3 axis uses, so
+    the result equals `(diff * diff).sum(axis=-1)` bit for bit, without a
+    reduction over a strided axis or a (..., 3) temporary.
+    """
+    diff = np.subtract(a[..., 0], b[..., 0])
+    out = diff * diff
+    for i in (1, 2):
+        np.subtract(a[..., i], b[..., i], out=diff)
+        diff *= diff
+        out += diff
+    return out

@@ -6,6 +6,7 @@ origin out of the point set.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,10 @@ class HaltonConfig:
     start_index: int = 1
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError(f"count must be nonnegative, got {self.count}")
+        for name in ("count", "start_index"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if len(self.bases) != 3:
             raise ValueError(f"need one base per coordinate, got {self.bases}")
         if any(b < 2 for b in self.bases):
@@ -32,8 +35,6 @@ class HaltonConfig:
                     raise ValueError(
                         f"bases must be pairwise coprime, got {self.bases}"
                     )
-        if self.start_index < 0:
-            raise ValueError(f"start_index must be >= 0, got {self.start_index}")
 
 
 def radical_inverse(index, base):

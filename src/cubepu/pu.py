@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cube_index, halton
 from .errors import EmptySubdomainError
-from .geometry import as_point_array, ensure_in_unit_cube
+from .geometry import as_point_array, ensure_in_unit_cube, squared_distances
 from .rbf import ILL_CONDITION_LIMIT, KernelSpec, local_values, solve_local
 
 # Primes for the center sequence, disjoint from the node bases (2, 3, 5) so
@@ -175,8 +175,7 @@ def fit_geometry(points, values, config, search="cube"):
     for j in range(d):
         ids = node_ids[bounds[j]:bounds[j + 1]]
         if config.m_max is not None and ids.size > config.m_max:
-            diff = pts[ids] - centers[j]
-            d2 = (diff * diff).sum(axis=1)
+            d2 = squared_distances(pts[ids], centers[j])
             keep = np.lexsort((ids, d2))[: config.m_max]  # nearest first, ties to lower id
             ids = np.sort(ids[keep])
         subdomains.append(Subdomain(node_ids=ids))
@@ -235,8 +234,8 @@ def blend_weights(model, points):
     if model.empty.any():
         keep = ~model.empty[ids]
         ids, owner = ids[keep], owner[keep]
-    diff = model.centers[ids] - pts[owner]
-    dist = np.sqrt((diff * diff).sum(axis=1))
+    dist = squared_distances(model.centers[ids], pts[owner])
+    np.sqrt(dist, out=dist)
     hit = dist < COINCIDENT_TOL
     if hit.any():
         on_center = np.zeros(k, dtype=bool)
@@ -249,8 +248,7 @@ def blend_weights(model, points):
         lost = np.flatnonzero(~covered)
         nearest = np.empty(lost.size, dtype=np.int64)
         for n, i in enumerate(lost):
-            diff = model.centers - pts[i]
-            d2 = (diff * diff).sum(axis=1)
+            d2 = squared_distances(model.centers, pts[i])
             d2[model.empty] = np.inf
             nearest[n] = np.argmin(d2)
         owner = np.concatenate([owner, lost])
@@ -292,6 +290,9 @@ def evaluate_report(model, points):
                                  sd.coefficients.coefficients, pts[ii])
             num[ii] += w * local
             den[ii] += w
+        # drop this block's pairs before the next block's search and
+        # distances allocate theirs, which bounds the peak at one block
+        del owner, ids, weights, order
     return EvalReport(values=num / den, uncovered=uncovered)
 
 

@@ -10,7 +10,11 @@ single shape value a > 0 acting on r = ||x - y||_2:
 The matern kernel is used unnormalized (phi(0) = 3 rather than 1); scaling a
 kernel by a constant rescales the coefficients and leaves the interpolant
 unchanged, so nothing downstream cares.  The wendland kernel has compact
-support of radius 1/a.
+support of radius 1/a.  It is evaluated without pow: t = (1 - a r)_+ is
+raised to the sixth power as (t^2 t)^2, and the polynomial runs in Horner
+form ((35 a r + 18) a r + 3).  Its values can differ by a few ulps from the
+textbook expression, since pow rounds once where the products round several
+times; g and m4 are written as above.
 
 Local systems solve phi(||x_i - x_k||) c = f with a Cholesky factorization
 first (every family is positive definite, so symmetry is worth exploiting)
@@ -58,14 +62,25 @@ class KernelSpec:
 def kernel_value(spec, r):
     """phi(r) for scalar or array r >= 0; shape of r is preserved."""
     r = np.asarray(r, dtype=np.float64)
-    ar = spec.shape * r
+    ar = spec.shape * (r if r.ndim else r.reshape(1))  # an array, for out=
     if spec.family == "g":
         out = np.exp(-(ar * ar))
     elif spec.family == "m4":
         out = np.exp(-ar) * (ar * ar + 3.0 * ar + 3.0)
     else:
-        out = np.maximum(0.0, 1.0 - ar) ** 6 * (35.0 * ar * ar + 18.0 * ar + 3.0)
-    return out if out.ndim else float(out)
+        # numpy sends ** 6 through libm pow, which costs more than the three
+        # products; everything runs in place on two temporaries
+        t = np.subtract(1.0, ar)
+        np.maximum(t, 0.0, out=t)
+        out = t * t
+        out *= t
+        out *= out
+        t = ar * 35.0
+        t += 18.0
+        t *= ar
+        t += 3.0
+        out *= t
+    return out if r.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -114,9 +129,11 @@ def solve_local(points, values, kernel, subdomain_id=None):
 def local_values(kernel, sites, coefficients, pts):
     """The local interpolant sum_k c_k phi(||p - x_k||) at each row of pts.
 
-    The row-wise reduction (not a BLAS matvec) keeps each row's result
+    The kernel block is weighted by the coefficients in place and reduced
+    row by row (not by a BLAS matvec), which keeps each row's result
     independent of how many other rows share the batch, so scalar and batch
     evaluation agree bit for bit.
     """
     k = kernel_value(kernel, cdist(pts, sites))
-    return (k * coefficients).sum(axis=1)
+    k *= coefficients
+    return k.sum(axis=1)

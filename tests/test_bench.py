@@ -111,6 +111,15 @@ def test_experiment_spec_validation():
         ExperimentSpec(100, 10, "g", search="kdtree")
     with pytest.raises(ValueError, match="node_count"):
         ExperimentSpec(0, 10, "g")
+    # counts that are not integers are refused up front: 343.5 would be
+    # reported as n, and a 5.5 side would fail inside eval_grid
+    with pytest.raises(ValueError, match="node_count"):
+        ExperimentSpec(343.5, 43, "w4")
+    for side in (5.5, 1, 5.0):
+        with pytest.raises(ValueError, match="eval_grid_side"):
+            ExperimentSpec(343, 43, "w4", eval_grid_side=side)
+    spec = ExperimentSpec(np.int64(343), 43, "w4", eval_grid_side=np.int64(5))
+    assert run_experiment(spec, 0.54).n == 343
     with pytest.raises(ValueError, match="at least one shape"):
         sweep_shape(ExperimentSpec(100, 10, "g"), [])
 

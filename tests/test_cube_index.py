@@ -313,6 +313,33 @@ def test_query_many_matches_query_and_scan(seed, n, spread, radius, frac, querie
         _check_pairs(index, queries, radius * frac)
 
 
+def test_query_many_engines_agree_on_the_sphere():
+    # queries exactly on the radius-r sphere about a stored point: offsets
+    # along an axis and along the integer vectors (3, 4, 0), (2, 3, 6) and
+    # (1, 4, 8) of lengths 5, 7 and 9, scaled by a power of two so that every
+    # squared distance is exact and equals r^2
+    pts = np.vstack([generate(HaltonConfig(400)), [[0.5, 0.5, 0.5]]])
+    stored = len(pts) - 1
+    s = 2.0 ** -6
+    offsets = [((1, 0, 0), 1), ((0, -1, 0), 1), ((3, 4, 0), 5), ((-2, 3, 6), 7),
+               ((1, -4, 8), 9), ((0, 0, -4), 4)]
+    for vec, length in offsets:
+        r = length * s
+        queries = pts[stored] + s * np.array([vec, [-v for v in vec]], dtype=float)
+        for index in _engines(pts, r):
+            rows, ids = index.query_many(queries, r)
+            assert np.count_nonzero(ids == stored) == 2, (vec, type(index))
+            _check_pairs(index, queries, r)
+    # a radius taken as the rounded distance to a stored point, so that the
+    # tie is decided by the last bit of the squared distance
+    rng = np.random.default_rng(17)
+    queries = rng.random((40, 3))
+    for q, p in zip(queries, pts[rng.integers(0, len(pts), 40)]):
+        r = min(float(np.sqrt(((q - p) ** 2).sum())), 0.3)
+        cube, scan = (e.query_many(q[None, :], r) for e in _engines(pts, r))
+        assert np.array_equal(cube[0], scan[0]) and np.array_equal(cube[1], scan[1])
+
+
 def test_query_many_edge_cases():
     pts = generate(HaltonConfig(300))
     corners = np.array([(x, y, z) for x in (0.0, 1.0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cubepu.errors import OutOfDomainError
-from cubepu.geometry import as_point_array, ensure_in_unit_cube
+from cubepu.geometry import as_point_array, ensure_in_unit_cube, squared_distances
 
 coord = st.floats(0.0, 1.0, allow_subnormal=False)
 point = st.tuples(coord, coord, coord)
@@ -57,3 +58,39 @@ def test_ensure_in_unit_cube_names_offender():
         ensure_in_unit_cube(np.array([[0.5, 0.5, np.inf]]))
     with pytest.raises(OutOfDomainError):
         ensure_in_unit_cube(np.array([[0.5, 0.5, -1e-12]]))
+
+
+_coords = st.one_of(st.floats(0.0, 1.0, allow_subnormal=False),
+                    st.floats(-1e3, 1e3, allow_subnormal=False),
+                    st.sampled_from([0.0, 0.25, 1 / 3, 1.0]))
+
+
+def _same(got, a, b):
+    diff = a - b
+    want = (diff * diff).sum(axis=-1)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 9), st.data())
+def test_squared_distances_bitwise_equal_to_sum(k, c, data):
+    # the shapes the search uses (c x 3 and k x c x 3 against k x 1 x 3) and
+    # the row-paired N x 3 form of the blend and the m_max trim
+    sites = data.draw(arrays(np.float64, (c, 3), elements=_coords))
+    blocks = data.draw(arrays(np.float64, (k, c, 3), elements=_coords))
+    queries = data.draw(arrays(np.float64, (k, 1, 3), elements=_coords))
+    assert _same(squared_distances(sites, queries), sites, queries)
+    assert _same(squared_distances(blocks, queries), blocks, queries)
+    a = data.draw(arrays(np.float64, (k * c, 3), elements=_coords))
+    b = data.draw(arrays(np.float64, (k * c, 3), elements=_coords))
+    assert _same(squared_distances(a, b), a, b)
+    if k * c:
+        assert _same(squared_distances(a, b[0]), a, b[0])
+
+
+def test_squared_distances_large_batches():
+    rng = np.random.default_rng(21)
+    a, b = rng.random((100000, 3)), rng.random((100000, 3))
+    assert _same(squared_distances(a, b), a, b)
+    sites, queries = rng.random((70, 3)), rng.random((500, 1, 3))
+    assert _same(squared_distances(sites, queries), sites, queries)

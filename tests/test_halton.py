@@ -84,4 +84,12 @@ def test_config_validation():
         HaltonConfig(10, bases=(2, 3))
     with pytest.raises(ValueError):
         HaltonConfig(10, start_index=-2)
+    # a count that is not an integer is refused, not rounded (10.5 -> 11 points)
+    for bad in (10.5, 10.0, "10", None):
+        with pytest.raises(ValueError, match="count"):
+            HaltonConfig(bad)
+    for bad in (1.5, 1.0):
+        with pytest.raises(ValueError, match="start_index"):
+            HaltonConfig(10, start_index=bad)
+    assert generate(HaltonConfig(np.int64(10), start_index=np.int32(1))).shape == (10, 3)
     assert HaltonConfig(10).bases == DEFAULT_BASES

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from cubepu.errors import SingularSystemError
 from cubepu.rbf import (
@@ -53,6 +54,35 @@ def test_kernel_wendland_formula_and_support():
     assert kernel_value(KernelSpec("w4", 0.54), 1 / 0.54) == pytest.approx(0.0, abs=1e-80)
     # just inside the support it is positive
     assert kernel_value(KernelSpec("w4", 2.0), 0.49) > 0.0
+
+
+@pytest.mark.parametrize("shape", [0.1, 0.54, 1.0, 2.0, 7.3])
+def test_kernel_wendland_matches_pow_form(shape):
+    # w4 runs without pow; on a dense grid over [0, 1.2/a], the support edge
+    # 1/a included, it stays within a few ulps of the textbook expression
+    spec = KernelSpec("w4", shape)
+    r = np.append(np.linspace(0.0, 1.2 / shape, 2401), 1.0 / shape)
+    got = kernel_value(spec, r)
+    want = []
+    for ri in r:
+        ar = shape * float(ri)
+        want.append(math.pow(1 - ar, 6) * (35 * ar * ar + 18 * ar + 3) if ar < 1 else 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert got[0] == 3.0 and kernel_value(spec, 0.0) == 3.0
+    outside = got[shape * r >= 1.0]
+    assert outside.size >= 400 and (outside == 0.0).all() and not np.signbit(outside).any()
+    for ri in (0.0, 0.5 / shape, 1.1 / shape):
+        assert isinstance(kernel_value(spec, ri), float)
+
+
+@pytest.mark.parametrize("shape", [0.54, 1.0, 2.6, 2.7, 9.0])
+def test_kernel_gaussian_and_matern_unchanged(shape):
+    # g and m4 are bit for bit the expressions they have always been
+    r = np.random.default_rng(4).random((40, 30)) * 3.0
+    ar = shape * r
+    assert np.array_equal(kernel_value(KernelSpec("g", shape), r), np.exp(-(ar * ar)))
+    assert np.array_equal(kernel_value(KernelSpec("m4", shape), r),
+                          np.exp(-ar) * (ar * ar + 3.0 * ar + 3.0))
 
 
 def test_kernel_vectorized_shape():
@@ -258,3 +288,6 @@ def test_evaluate_local_batch_matches_scalar_bitwise():
     batch = _at(sys_b, local, targets)
     singles = np.array([_at(sys_b, local, t)[0] for t in targets])
     assert np.array_equal(batch, singles)
+    # weighting the kernel block in place keeps the row sums of the product
+    k = kernel_value(sys_b[2], cdist(targets, pts))
+    assert np.array_equal(batch, (k * local.coefficients).sum(axis=1))
