@@ -14,12 +14,18 @@ evaluation asks once per block of points; a brute-force scan engine is kept
 as the reference path.
 A ball that captures no nodes stays in the model but never blends.
 `blend_weights` gives a block of points its (point, ball, weight) triples,
-including points on a center and points outside every ball, and
-`evaluate_report` applies them in one loop that accumulates subdomain
-contributions in ascending subdomain order, so results are reproducible bit
-for bit across search engines and batch shapes.
+including points on a center and points outside every ball.
+`evaluate_report` evaluates each ball's local interpolant at the points of
+the block it serves, one such (ball, points) group at a time when the group
+is large and all small groups together in one flat pass, and accumulates
+the contributions in ascending subdomain order, so results are reproducible
+bit for bit across search engines, batch shapes and the two group paths.
+The model keeps every ball's node ids and coefficients back to back in two
+flat arrays, which the flat pass gathers from; each `Subdomain` holds views
+into them.
 """
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -29,7 +35,14 @@ import numpy as np
 from . import cube_index, halton
 from .errors import EmptySubdomainError
 from .geometry import as_point_array, ensure_in_unit_cube, squared_distances
-from .rbf import ILL_CONDITION_LIMIT, KernelSpec, local_values, solve_local
+from .rbf import (
+    ILL_CONDITION_LIMIT,
+    KernelSpec,
+    LocalCoefficients,
+    kernel_value,
+    local_values,
+    solve_local,
+)
 
 # Primes for the center sequence, disjoint from the node bases (2, 3, 5) so
 # centers never replicate the node layout.
@@ -45,6 +58,22 @@ SEARCH_MODES = ("cube", "no_cube")
 # of their (point, subdomain, weight) triples.  Each point still sums in
 # ascending subdomain order, so the block size changes no bit of any value.
 BLEND_BLOCK = 8192
+
+# A group (one ball and the points of a block it serves) whose work, points
+# times ball nodes, reaches this count gets its own `local_values` call; all
+# smaller groups share one flat pass.  A call carries about 20 us of fixed
+# numpy overhead, and the flat pass's gathers cost about 20 ns more per
+# element than a call's block (2-vCPU measurements), so the two break even
+# near 1000 elements.  A single-point evaluate (about eleven groups of one
+# point and ~100 nodes at 35937/4096) runs flat; the groups of a large batch
+# (a median of ~2300 at the 11^3 lattice and ~33000 at the 41^3 lattice,
+# 4913/512) keep their own calls.
+FLAT_GROUP_WORK = 1024
+
+# The flat pass and the uncovered fallback take at most this many distances
+# at a time, which bounds their temporaries; a pair whose ball has more sites
+# than this makes a chunk of its own.  The chunking changes no bit.
+DISTANCE_CHUNK = 1 << 12
 
 
 def subdomain_radius(subdomain_count):
@@ -93,12 +122,64 @@ class PUModel:
     center_index: object  # same engine over the centers
     empty: np.ndarray     # (d,) bool, the balls that captured no nodes
     illconditioned_solves: int = 0
+    # Filled in from `subdomains` on construction: ball j's node ids are
+    # node_ids[offsets[j]:offsets[j + 1]] and its coefficients the same slice
+    # of `coefficients`, which stays None until every nonempty ball is solved.
+    # Each Subdomain holds views into these arrays.
+    node_ids: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    coefficients: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        parts = [sd.node_ids for sd in self.subdomains]
+        self.node_ids, self.offsets, views = _back_to_back(parts, np.int64)
+        if views is not parts:
+            self.subdomains = [replace(sd, node_ids=v) for sd, v in zip(self.subdomains, views)]
+        solved = [sd.coefficients for sd in self.subdomains]
+        if any(c is None and sd.node_ids.size for c, sd in zip(solved, self.subdomains)):
+            self.coefficients = None
+            return
+        parts = [_NO_COEFFICIENTS if c is None else c.coefficients for c in solved]
+        self.coefficients, offsets, views = _back_to_back(parts, np.float64)
+        if not np.array_equal(offsets, self.offsets):
+            raise ValueError("every subdomain needs one coefficient per node")
+        if views is not parts:
+            self.subdomains = [
+                sd if c is None else replace(sd, coefficients=replace(c, coefficients=v))
+                for sd, c, v in zip(self.subdomains, solved, views)
+            ]
 
 
 @dataclass
 class EvalReport:
     values: np.ndarray
     uncovered: int  # points no ball covered (handled by nearest-center fallback)
+
+
+_NO_COEFFICIENTS = np.zeros(0)
+
+
+def _back_to_back(parts, dtype):
+    """(flat, offsets, views): the 1-D arrays `parts` end to end in `flat`,
+    with views[j] = flat[offsets[j]:offsets[j + 1]] equal to parts[j].
+
+    When every nonempty part already is that slice of one array, as the
+    node ids of an untrimmed capture are, that array is `flat` and `views`
+    is `parts`; anything else is copied.
+    """
+    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum([p.size for p in parts], out=offsets[1:])
+    flat = next((p.base for p in parts if p.size), None)
+    if (isinstance(flat, np.ndarray) and flat.dtype == dtype and flat.ndim == 1
+            and flat.size == offsets[-1] and flat.flags.c_contiguous):
+        start, step = flat.__array_interface__["data"][0], flat.itemsize
+        if all(p.base is flat and p.dtype == dtype and p.strides == (step,)
+               and p.__array_interface__["data"][0] == start + step * at
+               for p, at in zip(parts, offsets.tolist()) if p.size):
+            return flat, offsets, parts
+    flat = np.concatenate([np.zeros(0, dtype), *parts])
+    bounds = offsets.tolist()
+    return flat, offsets, [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def make_centers(config):
@@ -196,6 +277,8 @@ def fit_geometry(points, values, config, search="cube"):
 def refit_kernel(model, kernel):
     """Solve (or re-solve) every local system under `kernel`, reusing the
     captured geometry.  Returns a new model; the input is left untouched."""
+    coefficients = np.empty(model.node_ids.size)
+    offsets = model.offsets.tolist()
     solved = []
     illcond = 0
     for j, sd in enumerate(model.subdomains):
@@ -206,9 +289,17 @@ def refit_kernel(model, kernel):
                             kernel, subdomain_id=j)
         if local.condition_estimate >= ILL_CONDITION_LIMIT:
             illcond += 1
-        solved.append(replace(sd, coefficients=local))
-    return replace(model, config=replace(model.config, kernel=kernel),
-                   subdomains=solved, illconditioned_solves=illcond)
+        at = coefficients[offsets[j]:offsets[j + 1]]
+        at[:] = local.coefficients
+        solved.append(Subdomain(sd.node_ids, LocalCoefficients(at, local.condition_estimate)))
+    # Built here, the coefficient layout needs none of __post_init__'s
+    # checks, so the new model starts as a shallow copy of the input.
+    out = copy.copy(model)
+    out.config = replace(model.config, kernel=kernel)
+    out.subdomains = solved
+    out.coefficients = coefficients
+    out.illconditioned_solves = illcond
+    return out
 
 
 def fit(points, values, config, search="cube"):
@@ -226,7 +317,8 @@ def blend_weights(model, points):
     out.  Every remaining ball weighs 1/distance.  Centers closer than
     COINCIDENT_TOL weigh 1 each and the other covering balls drop out.  An
     uncovered point takes its nearest nonempty center, ties to the lower id,
-    with weight 1, in a pair appended after all the covered ones.
+    with weight 1, in a pair appended after all the covered ones; the
+    distances to every center are taken for DISTANCE_CHUNK of them at a time.
     """
     pts = as_point_array(points)
     k = pts.shape[0]
@@ -247,10 +339,11 @@ def blend_weights(model, points):
     if not covered.all():
         lost = np.flatnonzero(~covered)
         nearest = np.empty(lost.size, dtype=np.int64)
-        for n, i in enumerate(lost):
-            d2 = squared_distances(model.centers, pts[i])
-            d2[model.empty] = np.inf
-            nearest[n] = np.argmin(d2)
+        step = max(1, DISTANCE_CHUNK // model.centers.shape[0])
+        for s in range(0, lost.size, step):
+            d2 = squared_distances(model.centers, pts[lost[s:s + step], None, :])
+            d2[:, model.empty] = np.inf
+            nearest[s:s + step] = d2.argmin(axis=1)  # the first minimum: ties to the lower id
         owner = np.concatenate([owner, lost])
         ids = np.concatenate([ids, nearest])
         weights = np.concatenate([weights, np.ones(lost.size)])
@@ -261,39 +354,93 @@ def evaluate_report(model, points):
     """Blend the local interpolants at each row of `points`.
 
     Each block of BLEND_BLOCK points takes its weights from one
-    `blend_weights` call.  The (point, subdomain, weight) triples are grouped
-    by subdomain with a stable sort, so each local interpolant is evaluated
-    once over all the points of the block it serves; num and den accumulate
-    in ascending subdomain order and each value is num / den.  The report
-    counts the points that no ball holding nodes covered.
+    `blend_weights` call.  The (point, subdomain, weight) triples are sorted
+    by subdomain with a stable sort, and `_pair_values` evaluates each local
+    interpolant at the points of the block it serves; num and den are then
+    summed per point in that order, ascending subdomain, and each value is
+    num / den.  The report counts the points that no ball holding nodes
+    covered.
     """
     pts = as_point_array(points)
     ensure_in_unit_cube(pts, "evaluation point")
+    if model.coefficients is None:
+        raise RuntimeError("model geometry has no solved coefficients yet")
     k = pts.shape[0]
-    num = np.zeros(k)
-    den = np.zeros(k)
+    values = np.empty(k)
     uncovered = 0
     for first in range(0, k, BLEND_BLOCK):
-        owner, ids, weights, covered = blend_weights(model, pts[first:first + BLEND_BLOCK])
+        block = pts[first:first + BLEND_BLOCK]
+        owner, ids, weights, covered = blend_weights(model, block)
         uncovered += covered.size - int(np.count_nonzero(covered))
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         weights = weights[order]
-        owner = first + owner[order]
-        bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            sd = model.subdomains[ids[s]]
-            if sd.coefficients is None:
-                raise RuntimeError("model geometry has no solved coefficients yet")
-            ii, w = owner[s:e], weights[s:e]
-            local = local_values(model.config.kernel, model.points[sd.node_ids],
-                                 sd.coefficients.coefficients, pts[ii])
-            num[ii] += w * local
-            den[ii] += w
+        owner = owner[order]
+        del order
+        local = _pair_values(model, block, owner, ids)
+        local *= weights
+        # bincount adds in pair order, so each point sums ascending subdomain
+        num = np.bincount(owner, local, minlength=block.shape[0])
+        den = np.bincount(owner, weights, minlength=block.shape[0])
+        np.divide(num, den, out=values[first:first + BLEND_BLOCK])
         # drop this block's pairs before the next block's search and
         # distances allocate theirs, which bounds the peak at one block
-        del owner, ids, weights, order
-    return EvalReport(values=num / den, uncovered=uncovered)
+        del owner, ids, weights, local
+    return EvalReport(values=values, uncovered=uncovered)
+
+
+def _pair_values(model, pts, owner, ids):
+    """R_ids[t](pts[owner[t]]) for every pair t, the pairs sorted by ball.
+
+    A group whose work (points times ball nodes) reaches FLAT_GROUP_WORK gets
+    one `local_values` call.  The pairs of all smaller groups go through one
+    flat pass over their (pair, site) elements, DISTANCE_CHUNK at a time:
+    gather sites and coefficients, distances as sqrt(squared_distances),
+    which equals `cdist` bit for bit, one `kernel_value` call, the
+    coefficient products, and a row sum.  The pairs are ordered by site count
+    first, so each run of equal-length rows sums as one (rows, m) block, with
+    numpy's pairwise sum per row as in `local_values`; both paths give every
+    pair the same bits.
+    """
+    kernel, offsets = model.config.kernel, model.offsets
+    local = np.empty(ids.size)
+    first = offsets[ids]
+    m = offsets[ids + 1] - first  # sites of each pair's ball
+    served = np.bincount(ids)  # points each ball serves
+    big = served[ids] * m >= FLAT_GROUP_WORK
+    if big.any():
+        starts = np.flatnonzero(big & np.concatenate([[True], ids[1:] != ids[:-1]]))
+        for s, e, lo, n in zip(starts.tolist(), (starts + served[ids[starts]]).tolist(),
+                               first[starts].tolist(), m[starts].tolist()):
+            local[s:e] = local_values(kernel, model.points[model.node_ids[lo:lo + n]],
+                                      model.coefficients[lo:lo + n], pts[owner[s:e]])
+        if big.all():
+            return local
+
+    small = np.flatnonzero(~big)
+    small = small[np.argsort(m[small], kind="stable")]  # equal lengths side by side
+    step = max(1, DISTANCE_CHUNK // int(m[small[-1]]))
+    for a in range(0, small.size, step):
+        t = small[a:a + step]
+        mt = m[t]
+        stops = np.cumsum(mt)  # where each row ends in the chunk
+        # each element's slot in the flat layout: its ball's first slot plus
+        # its place in the row
+        slot = np.repeat(first[t] - stops + mt, mt)
+        slot += np.arange(slot.size)
+        r = squared_distances(model.points.take(model.node_ids[slot], axis=0),
+                              pts.take(np.repeat(owner[t], mt), axis=0))
+        np.sqrt(r, out=r)
+        phi = kernel_value(kernel, r)
+        phi *= model.coefficients[slot]
+        sums = np.empty(t.size)
+        runs = [0, *(np.flatnonzero(mt[1:] != mt[:-1]) + 1).tolist(), t.size]
+        stops, mt = stops.tolist(), mt.tolist()
+        for s, e in zip(runs[:-1], runs[1:]):
+            rows = phi[stops[s] - mt[s]:stops[e - 1]].reshape(e - s, mt[s])
+            np.add.reduce(rows, axis=1, out=sums[s:e])
+        local[t] = sums
+    return local
 
 
 def evaluate_batch(model, points):

@@ -132,7 +132,10 @@ def local_values(kernel, sites, coefficients, pts):
     The kernel block is weighted by the coefficients in place and reduced
     row by row (not by a BLAS matvec), which keeps each row's result
     independent of how many other rows share the batch, so scalar and batch
-    evaluation agree bit for bit.
+    evaluation agree bit for bit.  `pu.evaluate_report` calls this for each
+    large (ball, points) group and reproduces it bit for bit for the small
+    ones in a flat pass: the same distances as sqrt(squared_distances), the
+    same kernel and products, and the same pairwise sum of each row.
     """
     k = kernel_value(kernel, cdist(pts, sites))
     k *= coefficients

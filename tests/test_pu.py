@@ -244,6 +244,26 @@ def test_fit_drops_empty_subdomains(search):
         assert got == _value_by_hand(model, p)
 
 
+def test_evaluate_ball_larger_than_a_flat_chunk(monkeypatch):
+    # Gaussian-clustered nodes: 356 of 1000 balls are empty and the largest
+    # holds 2062 nodes, more than twice the flat pass's chunk below
+    rng = np.random.default_rng(0)
+    nodes = np.clip(rng.normal(0.5, 0.12, (8000, 3)), 0.0, 1.0)
+    model = fit(nodes, np.cos(nodes.sum(axis=1)), _config("w4", 0.54, d=1000))
+    sizes = np.diff(model.offsets)
+    biggest = int(np.argmax(sizes))
+    assert sizes[biggest] > 2000 and model.empty.sum() > 300
+    probe = np.vstack([model.centers[biggest], 0.5 + 0.05 * rng.standard_normal((6, 3)),
+                       rng.random((6, 3))])
+    assert all(biggest in _blend_by_hand(model, p)[0] for p in probe[:4])
+    want = [_value_by_hand(model, p) for p in probe]
+    for work, chunk in ((pu.FLAT_GROUP_WORK, pu.DISTANCE_CHUNK), (10**9, 1000), (0, 1000)):
+        monkeypatch.setattr(pu, "FLAT_GROUP_WORK", work)
+        monkeypatch.setattr(pu, "DISTANCE_CHUNK", chunk)
+        assert np.array_equal(evaluate_batch(model, probe), want)
+        assert np.array_equal([evaluate(model, p) for p in probe], want)
+
+
 def test_fit_explicit_centers_validated():
     pts = generate(HaltonConfig(100))
     vals = np.ones(100)
@@ -262,13 +282,25 @@ def test_refit_kernel_reuses_geometry(nodes_1000):
     pts, vals = nodes_1000
     geo = fit_geometry(pts, vals, _config("w4", 0.54))
     assert geo.subdomains[0].coefficients is None
+    # unsolved balls raise whether the groups run flat (one point) or on
+    # their own calls (the 41^3 lattice)
     with pytest.raises(RuntimeError):
         evaluate(geo, (0.5, 0.5, 0.5))
+    with pytest.raises(RuntimeError):
+        evaluate_report(geo, eval_grid(41))
     solved = refit_kernel(geo, KernelSpec("w4", 0.7))
     assert geo.subdomains[0].coefficients is None  # original untouched
+    assert geo.coefficients is None
     assert solved.config.kernel.shape == 0.7
-    for sd_g, sd_s in zip(geo.subdomains, solved.subdomains):
+    assert solved.node_ids is geo.node_ids
+    for j, (sd_g, sd_s) in enumerate(zip(geo.subdomains, solved.subdomains)):
         assert sd_g.node_ids is sd_s.node_ids  # geometry shared, not copied
+        # each ball's arrays are views of the model's flat ones
+        at = slice(solved.offsets[j], solved.offsets[j + 1])
+        assert np.shares_memory(sd_s.node_ids, solved.node_ids)
+        assert np.array_equal(sd_s.node_ids, solved.node_ids[at])
+        assert np.shares_memory(sd_s.coefficients.coefficients, solved.coefficients)
+        assert np.array_equal(sd_s.coefficients.coefficients, solved.coefficients[at])
     # refit after changing nothing reproduces the direct fit exactly
     direct = fit(pts, vals, _config("w4", 0.7))
     for sd_a, sd_b in zip(solved.subdomains, direct.subdomains):
@@ -370,7 +402,7 @@ def _grid11():
     return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
 
 
-def test_evaluate_batch_matches_scalar_bitwise(model_1000, monkeypatch):
+def test_evaluate_batch_matches_scalar_bitwise(model_1000, nodes_1000, monkeypatch):
     # covered points, points on a center and one point outside every ball,
     # all in one batch
     rng = np.random.default_rng(31)
@@ -390,6 +422,35 @@ def test_evaluate_batch_matches_scalar_bitwise(model_1000, monkeypatch):
     monkeypatch.setattr(pu, "BLEND_BLOCK", 7)
     blocked = evaluate_report(model_1000, pts)
     assert np.array_equal(blocked.values, batch) and blocked.uncovered == 1
+    monkeypatch.undo()
+
+    # neither group path nor the chunk sizes change a bit: every kernel under
+    # both engines, with m_max-trimmed balls, and the x < 0.5 fit whose empty
+    # balls leave lattice points uncovered
+    nodes, values = nodes_1000
+    rng = np.random.default_rng(0)
+    half = rng.random((4000, 3))
+    half[:, 0] *= 0.5
+    fits = [(nodes, values, _config(family, shape, m_max=60))
+            for family, shape in CANONICAL]
+    fits.append((half, np.cos(half.sum(axis=1)), _config("w4", 0.54, d=500)))
+    for search in pu.SEARCH_MODES:
+        for nodes_f, values_f, config in fits:
+            model = fit(nodes_f, values_f, config, search=search)
+            probe = np.vstack([pts[:40], model.centers[::3], outside, eval_grid(6)])
+            want = evaluate_report(model, probe)
+            assert want.uncovered > 0
+            for p, got in zip(probe, want.values):
+                assert got == _value_by_hand(model, p)
+            for work, chunk in ((0, 1), (1, 10**9), (10**9, 1), (10**9, 10**9)):
+                monkeypatch.setattr(pu, "FLAT_GROUP_WORK", work)
+                monkeypatch.setattr(pu, "DISTANCE_CHUNK", chunk)
+                got = evaluate_report(model, probe)
+                assert np.array_equal(got.values, want.values)
+                assert got.uncovered == want.uncovered
+                single = [evaluate(model, p) for p in probe[::4]]
+                assert np.array_equal(single, want.values[::4])
+            monkeypatch.undo()
 
 
 def test_evaluate_search_mode_invariance(nodes_1000):
@@ -418,6 +479,11 @@ def test_evaluate_locality(model_1000):
     ]
     model_t = replace(model_1000, subdomains=tampered)
     assert evaluate_batch(model_t, p)[0] == before
+    # the replaced ball lands in the new model's flat arrays, not the old one's
+    at = slice(model_1000.offsets[far_j], model_1000.offsets[far_j + 1])
+    assert np.array_equal(model_t.coefficients[at], 7.0 * model_1000.coefficients[at])
+    assert np.shares_memory(model_t.subdomains[far_j].coefficients.coefficients,
+                            model_t.coefficients)
     # corrupting a covering subdomain must move it (sanity of the setup)
     near_j = next(iter(covering))
     tampered2 = [
@@ -560,3 +626,14 @@ def test_batched_search_matches_per_point_queries(search, lattice_blends):
         assert np.array_equal(report.values, reference[family])
         single = [evaluate(model, p) for p in lattice[sample]]
         assert np.array_equal(single, report.values[sample])
+        # all groups on their own call, or all in the flat pass, chunk by
+        # chunk: the same bits (every 13th lattice point, as one flat batch)
+        for work, chunk in ((0, 10**9), (10**9, 1), (10**9, 10**9)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pu, "FLAT_GROUP_WORK", work)
+                mp.setattr(pu, "DISTANCE_CHUNK", chunk)
+                single = [evaluate(model, p) for p in lattice[sample]]
+                assert np.array_equal(single, report.values[sample])
+                if chunk > 1:
+                    got = evaluate_report(model, lattice[::13])
+                    assert np.array_equal(got.values, report.values[::13])
