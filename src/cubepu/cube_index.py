@@ -24,6 +24,7 @@ neighbors.  The rounded-up count is kept alongside for benchmark reporting.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class GridParams:
     q_ceil: int | None = None  # rounded-up cell count, for table reporting only
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        if not isinstance(self.q, numbers.Integral) or self.q < 1:
+            raise ValueError(f"q must be an integer >= 1, got {self.q!r}")
 
     @property
     def cube_side(self):

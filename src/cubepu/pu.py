@@ -21,14 +21,13 @@ is large and all small groups together in one flat pass, and accumulates
 the contributions in ascending subdomain order, so results are reproducible
 bit for bit across search engines, batch shapes and the two group paths.
 The model keeps every ball's node ids and coefficients back to back in two
-flat arrays, which the flat pass gathers from; each `Subdomain` holds views
-into them.
+flat arrays, and ball j owns the slice offsets[j]:offsets[j + 1] of both:
+the per-ball calls read those slices and the flat pass gathers from them.
 """
 
-import copy
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .geometry import as_point_array, ensure_in_unit_cube, squared_distances
 from .rbf import (
     ILL_CONDITION_LIMIT,
     KernelSpec,
-    LocalCoefficients,
     kernel_value,
     local_values,
     solve_local,
@@ -105,81 +103,31 @@ class PUConfig:
 
 
 @dataclass
-class Subdomain:
-    node_ids: np.ndarray          # ascending original node ids; empty for a dropped ball
-    coefficients: object = None   # LocalCoefficients once solved
-
-
-@dataclass
 class PUModel:
     config: PUConfig
     radius: float
     points: np.ndarray   # (n, 3) node positions
     values: np.ndarray   # (n,)
     centers: np.ndarray  # (d, 3)
-    subdomains: list
     node_index: object    # CubeIndex or BruteForceIndex over the nodes
     center_index: object  # same engine over the centers
+    # Every ball's ascending node ids end to end: ball j owns
+    # node_ids[offsets[j]:offsets[j + 1]], an empty slice for a ball that
+    # captured no nodes, and its coefficients are the same slice of
+    # `coefficients`.  `coefficients` and `condition` (each ball's condition
+    # estimate, NaN for an empty ball) stay None until the balls are solved.
+    node_ids: np.ndarray
+    offsets: np.ndarray   # (d + 1,)
     empty: np.ndarray     # (d,) bool, the balls that captured no nodes
+    coefficients: np.ndarray | None = None
+    condition: np.ndarray | None = None
     illconditioned_solves: int = 0
-    # Filled in from `subdomains` on construction: ball j's node ids are
-    # node_ids[offsets[j]:offsets[j + 1]] and its coefficients the same slice
-    # of `coefficients`, which stays None until every nonempty ball is solved.
-    # Each Subdomain holds views into these arrays.
-    node_ids: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
-    coefficients: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        parts = [sd.node_ids for sd in self.subdomains]
-        self.node_ids, self.offsets, views = _back_to_back(parts, np.int64)
-        if views is not parts:
-            self.subdomains = [replace(sd, node_ids=v) for sd, v in zip(self.subdomains, views)]
-        solved = [sd.coefficients for sd in self.subdomains]
-        if any(c is None and sd.node_ids.size for c, sd in zip(solved, self.subdomains)):
-            self.coefficients = None
-            return
-        parts = [_NO_COEFFICIENTS if c is None else c.coefficients for c in solved]
-        self.coefficients, offsets, views = _back_to_back(parts, np.float64)
-        if not np.array_equal(offsets, self.offsets):
-            raise ValueError("every subdomain needs one coefficient per node")
-        if views is not parts:
-            self.subdomains = [
-                sd if c is None else replace(sd, coefficients=replace(c, coefficients=v))
-                for sd, c, v in zip(self.subdomains, solved, views)
-            ]
 
 
 @dataclass
 class EvalReport:
     values: np.ndarray
     uncovered: int  # points no ball covered (handled by nearest-center fallback)
-
-
-_NO_COEFFICIENTS = np.zeros(0)
-
-
-def _back_to_back(parts, dtype):
-    """(flat, offsets, views): the 1-D arrays `parts` end to end in `flat`,
-    with views[j] = flat[offsets[j]:offsets[j + 1]] equal to parts[j].
-
-    When every nonempty part already is that slice of one array, as the
-    node ids of an untrimmed capture are, that array is `flat` and `views`
-    is `parts`; anything else is copied.
-    """
-    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-    np.cumsum([p.size for p in parts], out=offsets[1:])
-    flat = next((p.base for p in parts if p.size), None)
-    if (isinstance(flat, np.ndarray) and flat.dtype == dtype and flat.ndim == 1
-            and flat.size == offsets[-1] and flat.flags.c_contiguous):
-        start, step = flat.__array_interface__["data"][0], flat.itemsize
-        if all(p.base is flat and p.dtype == dtype and p.strides == (step,)
-               and p.__array_interface__["data"][0] == start + step * at
-               for p, at in zip(parts, offsets.tolist()) if p.size):
-            return flat, offsets, parts
-    flat = np.concatenate([np.zeros(0, dtype), *parts])
-    bounds = offsets.tolist()
-    return flat, offsets, [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def make_centers(config):
@@ -248,18 +196,22 @@ def fit_geometry(points, values, config, search="cube"):
     center_index = _build_index(centers, radius, search)
 
     rows, node_ids = node_index.query_many(centers, radius)
-    bounds = np.searchsorted(rows, np.arange(d + 1))
-    empty = bounds[1:] == bounds[:-1]
+    offsets = np.searchsorted(rows, np.arange(d + 1))
+    sizes = np.diff(offsets)
+    empty = sizes == 0
     if empty.all():
         raise EmptySubdomainError(d)
-    subdomains = []
-    for j in range(d):
-        ids = node_ids[bounds[j]:bounds[j + 1]]
-        if config.m_max is not None and ids.size > config.m_max:
+    m_max = config.m_max
+    if m_max is not None and sizes.max() > m_max:
+        parts = np.split(node_ids, offsets[1:-1])
+        for j in np.flatnonzero(sizes > m_max).tolist():
+            ids = parts[j]
             d2 = squared_distances(pts[ids], centers[j])
-            keep = np.lexsort((ids, d2))[: config.m_max]  # nearest first, ties to lower id
-            ids = np.sort(ids[keep])
-        subdomains.append(Subdomain(node_ids=ids))
+            keep = np.lexsort((ids, d2))[:m_max]  # nearest first, ties to lower id
+            parts[j] = np.sort(ids[keep])
+        node_ids = np.concatenate(parts)
+        offsets = np.zeros(d + 1, dtype=np.int64)
+        np.cumsum(np.minimum(sizes, m_max), out=offsets[1:])
 
     return PUModel(
         config=config,
@@ -267,39 +219,31 @@ def fit_geometry(points, values, config, search="cube"):
         points=pts,
         values=vals,
         centers=centers,
-        subdomains=subdomains,
         node_index=node_index,
         center_index=center_index,
+        node_ids=node_ids,
+        offsets=offsets,
         empty=empty,
     )
 
 
 def refit_kernel(model, kernel):
-    """Solve (or re-solve) every local system under `kernel`, reusing the
-    captured geometry.  Returns a new model; the input is left untouched."""
+    """Solve (or re-solve) every nonempty ball's local system under `kernel`,
+    reusing the captured geometry.  Returns a new model that shares the
+    input's geometry arrays; the input is left untouched."""
     coefficients = np.empty(model.node_ids.size)
-    offsets = model.offsets.tolist()
-    solved = []
-    illcond = 0
-    for j, sd in enumerate(model.subdomains):
-        if model.empty[j]:
-            solved.append(sd)
-            continue
-        local = solve_local(model.points[sd.node_ids], model.values[sd.node_ids],
-                            kernel, subdomain_id=j)
-        if local.condition_estimate >= ILL_CONDITION_LIMIT:
-            illcond += 1
-        at = coefficients[offsets[j]:offsets[j + 1]]
-        at[:] = local.coefficients
-        solved.append(Subdomain(sd.node_ids, LocalCoefficients(at, local.condition_estimate)))
-    # Built here, the coefficient layout needs none of __post_init__'s
-    # checks, so the new model starts as a shallow copy of the input.
-    out = copy.copy(model)
-    out.config = replace(model.config, kernel=kernel)
-    out.subdomains = solved
-    out.coefficients = coefficients
-    out.illconditioned_solves = illcond
-    return out
+    condition = np.full(model.empty.size, np.nan)
+    bounds = model.offsets.tolist()
+    for j in np.flatnonzero(~model.empty).tolist():
+        at = slice(bounds[j], bounds[j + 1])
+        ids = model.node_ids[at]
+        local = solve_local(model.points[ids], model.values[ids], kernel, subdomain_id=j)
+        coefficients[at] = local.coefficients
+        condition[j] = local.condition_estimate
+    illcond = int(np.count_nonzero(condition >= ILL_CONDITION_LIMIT))
+    return replace(model, config=replace(model.config, kernel=kernel),
+                   coefficients=coefficients, condition=condition,
+                   illconditioned_solves=illcond)
 
 
 def fit(points, values, config, search="cube"):

@@ -28,6 +28,7 @@ Sites, values and coefficients travel as plain arrays; `local_values` is the
 one evaluator of a solved local interpolant.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,8 +56,10 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
             )
-        if not self.shape > 0.0:
-            raise ValueError(f"shape parameter must be positive, got {self.shape}")
+        if not (math.isfinite(self.shape) and self.shape > 0.0):
+            raise ValueError(
+                f"shape parameter must be positive and finite, got {self.shape}"
+            )
 
 
 def kernel_value(spec, r):

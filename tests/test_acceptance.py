@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from cubepu import pu
-from cubepu.bench import ExperimentSpec, eval_grid, f1, run_experiment, sweep_shape
+from cubepu.bench import (
+    ExperimentSpec,
+    compare_search,
+    eval_grid,
+    f1,
+    run_experiment,
+    sweep_shape,
+)
 from cubepu.cube_index import brute_force_index, build, grid_from_radius
 from cubepu.halton import HaltonConfig, generate
 from cubepu.pu import PUConfig, blend_weights, evaluate_batch, fit, subdomain_radius
@@ -183,11 +190,11 @@ def test_criterion_07_sweep_shape(capsys):
         assert flatness("w4") < flatness("g")
 
 
-def test_criterion_08_search_modes_agree_and_cube_is_faster(request, capsys):
+def test_criterion_08_search_modes_agree_and_cube_is_faster(capsys):
     with criterion(8, "cube and scan RMSE bit-identical; cube fit faster", capsys):
-        cube = request.getfixturevalue("large_f1")["w4"]
-        scan = run_experiment(ExperimentSpec(35937, 4096, "w4", search="no_cube"),
-                              0.54)
+        # both fits timed back to back, so load on the machine hits both alike
+        cube, scan, identical = compare_search(ExperimentSpec(35937, 4096, "w4"), 0.54)
+        assert identical
         assert cube.rmse == scan.rmse
         assert cube.max_abs_error == scan.max_abs_error
         assert cube.fit_seconds < scan.fit_seconds
@@ -209,14 +216,16 @@ def test_criterion_09_m_max_cap(request, capsys):
 def _residual_checks(model):
     """Recompute ||phi c - f||_inf for every solved system in a model."""
     checked = illcond = 0
-    for sd in model.subdomains:
-        loc = sd.coefficients
-        if loc.condition_estimate >= ILL_CONDITION_LIMIT:
+    bounds = model.offsets.tolist()
+    for j in np.flatnonzero(~model.empty).tolist():
+        if model.condition[j] >= ILL_CONDITION_LIMIT:
             illcond += 1
             continue
-        sites, values = model.points[sd.node_ids], model.values[sd.node_ids]
+        at = slice(bounds[j], bounds[j + 1])
+        ids = model.node_ids[at]
+        sites, values = model.points[ids], model.values[ids]
         phi = assemble(sites, model.config.kernel)
-        resid = np.abs(phi @ loc.coefficients - values).max()
+        resid = np.abs(phi @ model.coefficients[at] - values).max()
         assert resid <= 1e-8 * (1.0 + np.abs(values).max())
         checked += 1
     assert illcond == model.illconditioned_solves

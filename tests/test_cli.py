@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,18 @@ def test_main_fit_drops_empty_subdomains(tmp_path, capsys):
     captured = capsys.readouterr()
     assert len(captured.out.strip().split("\n")) == 1 + 27
     assert re.search(r"warning: \d+ subdomains contain no nodes", captured.err)
+
+
+def test_main_non_finite_shape_is_input_error(capsys):
+    # an infinite shape passes the parser's positivity check; the kernel
+    # rejects it before any solve can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["fit", "--nodes", "halton:343", "--function", "f1",
+                     "--shape", "inf", "--eval", "grid:2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "finite" in err
 
 
 def test_main_unwritable_out_is_io_error(capsys):

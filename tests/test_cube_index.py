@@ -75,6 +75,13 @@ def test_grid_side_never_below_radius(radius):
     assert p.q <= p.q_ceil <= p.q + 1
 
 
+def test_grid_params_needs_an_integer_q():
+    assert GridParams(q=np.int64(2)).cube_side == 0.5
+    for q in (0, 2.5, "2"):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            GridParams(q=q)
+
+
 # ---------------------------------------------------------------- cell mapping
 
 def test_cell_of():

@@ -26,7 +26,7 @@ from cubepu.pu import (
     refit_kernel,
     subdomain_radius,
 )
-from cubepu.rbf import KernelSpec, LocalCoefficients, local_values
+from cubepu.rbf import ILL_CONDITION_LIMIT, KernelSpec, local_values, solve_local
 
 
 def _config(family="m4", shape=2.6, d=125, **kw):
@@ -65,11 +65,16 @@ def _value_by_hand(model, p):
     return num / den
 
 
+def _ball(model, j):
+    """Ball j's slice of the model's flat node_ids and coefficients."""
+    return slice(model.offsets[j], model.offsets[j + 1])
+
+
 def _local(model, j, p):
     """R_j, the solved local interpolant of subdomain j, at the single point p."""
-    sd = model.subdomains[j]
-    return local_values(model.config.kernel, model.points[sd.node_ids],
-                        sd.coefficients.coefficients,
+    at = _ball(model, j)
+    return local_values(model.config.kernel, model.points[model.node_ids[at]],
+                        model.coefficients[at],
                         np.asarray(p, dtype=float).reshape(1, 3))[0]
 
 
@@ -119,7 +124,7 @@ def test_grid_centers_cover_the_lattice(d, placed):
     model = fit(pts, np.sin(pts.sum(axis=1)),
                 _config(family="w4", shape=0.54, d=d, center_source="grid"))
     m = round(placed ** (1 / 3))
-    assert model.centers.shape == (placed, 3) and len(model.subdomains) == placed
+    assert model.centers.shape == (placed, 3) and model.offsets.shape == (placed + 1,)
     assert model.radius == subdomain_radius(placed)
     assert model.radius == pytest.approx(math.sqrt(2) / m, rel=1e-15)
     assert evaluate_report(model, eval_grid(21)).uncovered == 0
@@ -138,11 +143,10 @@ def test_make_centers_explicit_passthrough():
 def test_fit_single_node_single_subdomain():
     with pytest.warns(DegenerateGridWarning):
         model = fit([(0.5, 0.5, 0.5)], [4.2], _config(d=1))
-    assert len(model.subdomains) == 1
-    sd = model.subdomains[0]
-    assert np.array_equal(sd.node_ids, [0])
+    assert model.offsets.tolist() == [0, 1]
+    assert np.array_equal(model.node_ids, [0])
     # phi(0) = 3 for m4: single-site coefficient is f / phi(0)
-    assert sd.coefficients.coefficients == pytest.approx([1.4])
+    assert model.coefficients == pytest.approx([1.4])
     # with one subdomain the blend carries weight 1: evaluate == R_1 everywhere
     p = (0.9, 0.1, 0.4)
     assert evaluate(model, p) == _local(model, 0, p)
@@ -152,8 +156,8 @@ def test_fit_subdomain_population_4913():
     pts = generate(HaltonConfig(4913))
     vals = np.sin(pts.sum(axis=1))
     geo = fit_geometry(pts, vals, _config(d=512))
-    assert len(geo.subdomains) == 512
-    sizes = np.array([sd.node_ids.size for sd in geo.subdomains])
+    sizes = np.diff(geo.offsets)
+    assert sizes.shape == (512,) and geo.offsets[-1] == geo.node_ids.size
     assert sizes.min() >= 1
     # n * (4/3) pi r^3 = 113.7 expected nodes for an interior ball; boundary
     # clipping drags the global mean down
@@ -162,9 +166,9 @@ def test_fit_subdomain_population_4913():
     interior = np.array([((c >= r) & (c <= 1 - r)).all() for c in geo.centers])
     assert 95 <= sizes[interior].mean() <= 130
     for j in range(0, 512, 37):
-        sd = geo.subdomains[j]
-        assert (np.diff(sd.node_ids) > 0).all()
-        d2 = ((pts[sd.node_ids] - geo.centers[j]) ** 2).sum(axis=1)
+        ids = geo.node_ids[_ball(geo, j)]
+        assert (np.diff(ids) > 0).all()
+        d2 = ((pts[ids] - geo.centers[j]) ** 2).sum(axis=1)
         assert (d2 <= r * r + 1e-15).all()
 
 
@@ -172,16 +176,16 @@ def test_fit_m_max_keeps_nearest(nodes_1000):
     pts, vals = nodes_1000
     geo = fit_geometry(pts, vals, _config(d=64, m_max=20))
     full = fit_geometry(pts, vals, _config(d=64))
-    for j, (sd_cap, sd_full) in enumerate(zip(geo.subdomains, full.subdomains)):
-        assert sd_cap.node_ids.size <= 20
-        if sd_full.node_ids.size <= 20:
-            assert np.array_equal(sd_cap.node_ids, sd_full.node_ids)
+    assert np.array_equal(np.diff(geo.offsets), np.minimum(np.diff(full.offsets), 20))
+    for j in range(64):
+        capped, ids = geo.node_ids[_ball(geo, j)], full.node_ids[_ball(full, j)]
+        if ids.size <= 20:
+            assert np.array_equal(capped, ids)
             continue
         # reference: sort all captured ids by (distance, id), keep 20
-        ids = sd_full.node_ids
         d2 = ((pts[ids] - geo.centers[j]) ** 2).sum(axis=1)
         want = np.sort(ids[np.lexsort((ids, d2))[:20]])
-        assert np.array_equal(sd_cap.node_ids, want)
+        assert np.array_equal(capped, want)
 
 
 def test_fit_rejects_bad_nodes():
@@ -229,9 +233,9 @@ def test_fit_drops_empty_subdomains(search):
     model = fit(nodes, np.cos(nodes.sum(axis=1)), _config("w4", 0.54, d=500),
                 search=search)
     assert model.empty.shape == (500,) and model.empty.sum() == 166
-    for sd, empty in zip(model.subdomains, model.empty):
-        assert (sd.node_ids.size == 0) == empty
-        assert (sd.coefficients is None) == empty
+    assert np.array_equal(np.diff(model.offsets) == 0, model.empty)
+    assert model.coefficients.shape == model.node_ids.shape
+    assert np.array_equal(np.isnan(model.condition), model.empty)
     lattice = eval_grid(11)
     report = evaluate_report(model, lattice)
     assert np.isfinite(report.values).all()
@@ -279,33 +283,43 @@ def test_fit_explicit_centers_validated():
 
 
 def test_refit_kernel_reuses_geometry(nodes_1000):
+    # 1000 Halton nodes with x < 0.5 leave some of the 125 balls empty
     pts, vals = nodes_1000
+    half = pts[:, 0] < 0.5
+    pts, vals = pts[half], vals[half]
     geo = fit_geometry(pts, vals, _config("w4", 0.54))
-    assert geo.subdomains[0].coefficients is None
+    assert geo.empty.any() and not geo.empty.all()
+    assert geo.coefficients is None and geo.condition is None
     # unsolved balls raise whether the groups run flat (one point) or on
     # their own calls (the 41^3 lattice)
     with pytest.raises(RuntimeError):
-        evaluate(geo, (0.5, 0.5, 0.5))
+        evaluate(geo, (0.25, 0.5, 0.5))
     with pytest.raises(RuntimeError):
         evaluate_report(geo, eval_grid(41))
-    solved = refit_kernel(geo, KernelSpec("w4", 0.7))
-    assert geo.subdomains[0].coefficients is None  # original untouched
-    assert geo.coefficients is None
-    assert solved.config.kernel.shape == 0.7
-    assert solved.node_ids is geo.node_ids
-    for j, (sd_g, sd_s) in enumerate(zip(geo.subdomains, solved.subdomains)):
-        assert sd_g.node_ids is sd_s.node_ids  # geometry shared, not copied
-        # each ball's arrays are views of the model's flat ones
-        at = slice(solved.offsets[j], solved.offsets[j + 1])
-        assert np.shares_memory(sd_s.node_ids, solved.node_ids)
-        assert np.array_equal(sd_s.node_ids, solved.node_ids[at])
-        assert np.shares_memory(sd_s.coefficients.coefficients, solved.coefficients)
-        assert np.array_equal(sd_s.coefficients.coefficients, solved.coefficients[at])
+    kernel = KernelSpec("w4", 0.7)
+    solved = refit_kernel(geo, kernel)
+    # the geometry is left unsolved and shared, not copied
+    assert geo.coefficients is None and geo.condition is None
+    assert geo.config.kernel.shape == 0.54 and solved.config.kernel == kernel
+    assert solved.node_ids is geo.node_ids and solved.offsets is geo.offsets
+    assert solved.coefficients.shape == solved.node_ids.shape
+    assert solved.condition.shape == solved.empty.shape
+    # each nonempty ball's slice and condition entry is a direct solve of that
+    # ball, bit for bit; empty balls read NaN
+    for j in range(solved.empty.size):
+        if solved.empty[j]:
+            assert np.isnan(solved.condition[j])
+            continue
+        at = _ball(solved, j)
+        local = solve_local(pts[solved.node_ids[at]], vals[solved.node_ids[at]], kernel)
+        assert np.array_equal(solved.coefficients[at], local.coefficients)
+        assert solved.condition[j] == local.condition_estimate
+    illcond = np.count_nonzero(solved.condition >= ILL_CONDITION_LIMIT)
+    assert solved.illconditioned_solves == illcond
     # refit after changing nothing reproduces the direct fit exactly
     direct = fit(pts, vals, _config("w4", 0.7))
-    for sd_a, sd_b in zip(solved.subdomains, direct.subdomains):
-        assert np.array_equal(sd_a.coefficients.coefficients,
-                              sd_b.coefficients.coefficients)
+    assert np.array_equal(solved.coefficients, direct.coefficients)
+    assert np.array_equal(solved.condition, direct.condition, equal_nan=True)
 
 
 # ---------------------------------------------------------------- weights
@@ -457,42 +471,30 @@ def test_evaluate_search_mode_invariance(nodes_1000):
     pts, vals = nodes_1000
     cube = fit(pts, vals, _config(d=64))
     scan = fit(pts, vals, _config(d=64), search="no_cube")
-    for sd_c, sd_s in zip(cube.subdomains, scan.subdomains):
-        assert np.array_equal(sd_c.node_ids, sd_s.node_ids)
-        assert np.array_equal(sd_c.coefficients.coefficients,
-                              sd_s.coefficients.coefficients)
+    assert np.array_equal(cube.node_ids, scan.node_ids)
+    assert np.array_equal(cube.offsets, scan.offsets)
+    assert np.array_equal(cube.coefficients, scan.coefficients)
     probe = generate(HaltonConfig(200, bases=(17, 19, 23)))
     assert np.array_equal(evaluate_batch(cube, probe), evaluate_batch(scan, probe))
+
+
+def _scaled(model, j, factor):
+    """The model with ball j's coefficients multiplied by factor."""
+    coefficients = model.coefficients.copy()
+    coefficients[_ball(model, j)] *= factor
+    return replace(model, coefficients=coefficients)
 
 
 def test_evaluate_locality(model_1000):
     p = np.array([[0.1, 0.2, 0.1]])
     covering = set(_blend1(model_1000, p[0])[0].tolist())
-    far_j = next(j for j in range(len(model_1000.subdomains)) if j not in covering)
+    far_j = next(j for j in range(model_1000.empty.size) if j not in covering)
     before = evaluate_batch(model_1000, p)[0]
     # corrupt a subdomain the point does not touch: value must not move a bit
-    tampered = [
-        replace(sd, coefficients=LocalCoefficients(
-            sd.coefficients.coefficients * 7.0, sd.coefficients.condition_estimate))
-        if j == far_j else sd
-        for j, sd in enumerate(model_1000.subdomains)
-    ]
-    model_t = replace(model_1000, subdomains=tampered)
-    assert evaluate_batch(model_t, p)[0] == before
-    # the replaced ball lands in the new model's flat arrays, not the old one's
-    at = slice(model_1000.offsets[far_j], model_1000.offsets[far_j + 1])
-    assert np.array_equal(model_t.coefficients[at], 7.0 * model_1000.coefficients[at])
-    assert np.shares_memory(model_t.subdomains[far_j].coefficients.coefficients,
-                            model_t.coefficients)
+    assert evaluate_batch(_scaled(model_1000, far_j, 7.0), p)[0] == before
     # corrupting a covering subdomain must move it (sanity of the setup)
     near_j = next(iter(covering))
-    tampered2 = [
-        replace(sd, coefficients=LocalCoefficients(
-            sd.coefficients.coefficients * 7.0, sd.coefficients.condition_estimate))
-        if j == near_j else sd
-        for j, sd in enumerate(model_1000.subdomains)
-    ]
-    assert evaluate_batch(replace(model_1000, subdomains=tampered2), p)[0] != before
+    assert evaluate_batch(_scaled(model_1000, near_j, 7.0), p)[0] != before
 
 
 def test_evaluate_uncovered_fallback():
@@ -553,9 +555,7 @@ def test_fit_deterministic(nodes_1000):
     pts, vals = nodes_1000
     a = fit(pts, vals, _config())
     b = fit(pts, vals, _config())
-    for sd_a, sd_b in zip(a.subdomains, b.subdomains):
-        assert np.array_equal(sd_a.coefficients.coefficients,
-                              sd_b.coefficients.coefficients)
+    assert np.array_equal(a.coefficients, b.coefficients)
 
 
 # ---------------------------------------------------------------- batched search guard
@@ -588,9 +588,9 @@ def _reference_values(model, pts, blends):
     local = np.empty(ids.size)
     by_ball = np.argsort(ids, kind="stable")
     for at in np.split(by_ball, np.flatnonzero(np.diff(ids[by_ball])) + 1):
-        sd = model.subdomains[ids[at[0]]]
-        local[at] = local_values(model.config.kernel, model.points[sd.node_ids],
-                                 sd.coefficients.coefficients, pts[owner[at]])
+        ball = _ball(model, ids[at[0]])
+        local[at] = local_values(model.config.kernel, model.points[model.node_ids[ball]],
+                                 model.coefficients[ball], pts[owner[at]])
     rank = np.arange(ids.size) - np.searchsorted(owner, owner)  # place in the point's run
     num = np.zeros(len(pts))
     den = np.zeros(len(pts))
@@ -612,9 +612,9 @@ def test_batched_search_matches_per_point_queries(search, lattice_blends):
     capped = fit_geometry(nodes, values, _config(d=512, m_max=60), search=search)
     for j, c in enumerate(geo.centers):
         ids = geo.node_index.query(c, geo.radius)
-        assert np.array_equal(geo.subdomains[j].node_ids, ids)
+        assert np.array_equal(geo.node_ids[_ball(geo, j)], ids)
         d2 = ((nodes[ids] - c) ** 2).sum(axis=1)
-        assert np.array_equal(capped.subdomains[j].node_ids,
+        assert np.array_equal(capped.node_ids[_ball(capped, j)],
                               np.sort(ids[np.lexsort((ids, d2))[:60]]))
     sample = np.arange(0, len(lattice), 331)
     for family, shape in CANONICAL:

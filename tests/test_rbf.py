@@ -111,6 +111,9 @@ def test_kernel_spec_validation():
         KernelSpec("g", 0.0)
     with pytest.raises(ValueError):
         KernelSpec("w4", -0.5)
+    for shape in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec("g", shape)
 
 
 # ---------------------------------------------------------------- assembly
