@@ -11,6 +11,7 @@ thing the paper's experiments vary on a fixed setup, is passed to each run:
 `sweep_shape(spec, shapes)`.
 """
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -18,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pu
-from .cube_index import grid_from_radius
 from .errors import SingularSystemError
 from .halton import HaltonConfig, generate
 from .rbf import KernelSpec
@@ -141,7 +141,7 @@ def _result(spec, shape, model, report, truth, fit_s, eval_s):
     return ExperimentResult(
         n=spec.node_count,
         d=model.centers.shape[0],
-        q=grid_from_radius(model.radius).q_ceil,
+        q=math.ceil(1.0 / model.radius),  # grid_from_radius's q_ceil, without its warning
         kernel=spec.kernel_family,
         shape=float(shape),
         function=spec.function,
@@ -187,7 +187,7 @@ class SweepResult:
 
 def sweep_shape(spec, shapes):
     """Error curve over a nonempty sequence of shapes, reusing nodes, centers,
-    and both cube structures across shape values; only the local solves and
+    and the cube index across shape values; only the local solves and
     the evaluation rerun.  A shape whose solve collapses scores rmse = +inf
     rather than aborting the sweep."""
     if len(shapes) == 0:

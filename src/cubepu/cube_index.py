@@ -4,10 +4,10 @@ The unit cube is split into q^3 cells of side 1/q.  Points are bucketed by
 cell and stored as one permutation array ordered by (cell_w, cell_v, cell_u),
 with begin/end offsets per cell, so a query inspects at most the 3^3 = 27
 cells around its own and reads each (w, v)-run of cells as a single
-contiguous slice.
+contiguous slice.  A fit builds one index, over its subdomain centers.
 
 The search is batched: `query_many(queries, radius)` answers a whole array
-of queries as (row, id) pairs sorted by row, then id.  It groups the queries
+of queries as (row, id) pairs sorted by id, then row.  It groups the queries
 by cell, because every query in a cell shares one halo, so the work per
 occupied cell is one halo read and one distance block rather than one Python
 call per query.  `query(center, radius)` is its one-row form.
@@ -64,7 +64,7 @@ def grid_from_radius(radius):
     q = max(1, int(math.floor(inv + 1e-12)))
     while q > 1 and 1.0 / q < radius:
         q -= 1
-    q_ceil = max(q, int(math.ceil(inv)))
+    q_ceil = math.ceil(inv)  # never below q
     if radius > 1.0:
         warnings.warn(
             f"radius {radius} spans the whole unit cube; grid degenerates to one cell",
@@ -105,14 +105,14 @@ class CubeIndex:
     def query(self, center, radius):
         """Ids of all stored points within `radius` (inclusive) of `center`,
         ascending: the one-row form of `query_many`."""
-        return self._search(as_point_array(center)[:1], radius)[1]
+        return self._search(_one_row(center), radius)[1]
 
     def query_many(self, centers, radius):
         """Fixed-radius hits of every row of `centers`, as (row, id) pairs.
 
         Returns (rows, ids): ids[t] is a stored point within `radius`
-        (inclusive) of row rows[t].  The pairs are sorted by row and then by
-        id, so the hits of one row form a run of ascending ids.  The batch is
+        (inclusive) of row rows[t].  The pairs are sorted by id and then by
+        row, so the rows one stored point serves form one run.  The batch is
         validated once, and the queries are grouped by cell, so each occupied
         cell reads its 27-cell halo once and compares all of its queries with
         the halo's points in one distance block.
@@ -132,55 +132,60 @@ class CubeIndex:
         ensure_in_unit_cube(c, "query center")
         q, k = params.q, c.shape[0]
         cells = _cells0(params, c)
-        lo, hi = _halo(params, cells)
-        if radius > params.cube_side:
-            if not ((lo == 0) & (hi == q - 1)).all():
-                raise RadiusTooLargeError(
-                    f"radius {radius} exceeds cube_side = {params.cube_side}; "
-                    f"halo would miss points"
-                )
-
         flat = cells @ np.array([1, q, q * q])  # (w, v, u) cell rank
         order = np.argsort(flat, kind="stable")
         flat = flat[order]
-        cuts = (np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist()
-        lo, hi = lo.tolist(), hi.tolist()
-        keys = []  # row * n + id of each pair, one array per distance block
-        n, r2 = self.points.shape[0], radius * radius
-        for s, e in zip([0, *cuts], [*cuts, k]) if k else ():
-            cand = self._halo_points(lo[order[s]], hi[order[s]])
+        # each occupied cell's queries are order[bounds[i]:bounds[i + 1]]
+        bounds = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), k] if k else [0]
+        lo, hi = _halo(params, cells[order[bounds[:-1]]])  # one halo per occupied cell
+        del cells, flat  # freed before the pairs accumulate, which lowers the peak
+        if radius > params.cube_side and not ((lo == 0) & (hi == q - 1)).all():
+            raise RadiusTooLargeError(
+                f"radius {radius} exceeds cube_side = {params.cube_side}; "
+                f"halo would miss points"
+            )
+
+        keys = [_NO_IDS]  # id * k + row of each pair, one array per distance block
+        r2 = radius * radius
+        for s, e, first, last in zip(bounds[:-1], bounds[1:], lo.tolist(), hi.tolist()):
+            cand = self._halo_points(first, last)
             if cand.size == 0:
                 continue
             sites = self.points[cand]
             step = max(1, _BLOCK_PAIRS // cand.size)
-            for first in range(s, e, step):
-                block = order[first:min(first + step, e)]
+            for b in range(s, e, step):
+                block = order[b:min(b + step, e)]
                 d2 = squared_distances(sites, c[block, None, :])
                 row, hit = np.nonzero(d2 <= r2)
-                keys.append(block[row] * n + cand[hit])
-
-        # sorting the keys in place sorts the pairs by row, then id, with no
-        # second copy of them; one block's keys are sorted already
-        if len(keys) == 1:
-            keys = keys[0]
-        else:
-            keys = np.concatenate([_NO_IDS, *keys])
-            keys.sort()
-        rows = keys // n
-        return rows, np.remainder(keys, n, out=keys)
+                keys.append(cand[hit] * k + block[row])
+        keys = np.concatenate(keys)  # frees the blocks before the sort
+        return _pairs(keys, k)
 
     def _halo_points(self, lo, hi):
         """Ids stored in the cells from corner `lo` to corner `hi`
-        (inclusive, (u, v, w) lists), ascending."""
+        (inclusive, (u, v, w) lists), in cell order."""
         q, offs = self.params.q, self.cell_offsets
         runs = []
         for w in range(lo[2], hi[2] + 1):
             for v in range(lo[1], hi[1] + 1):
                 base = (w * q + v) * q
                 runs.append(self.permutation[offs[base + lo[0]]: offs[base + hi[0] + 1]])
-        cand = np.concatenate(runs)
-        cand.sort()
-        return cand
+        return np.concatenate(runs)
+
+
+def _pairs(keys, k):
+    """(rows, ids) of the pairs keyed id * k + row.  Sorting the keys in place
+    sorts the pairs by id, then row, with no second copy of them."""
+    keys.sort()
+    ids = keys // k
+    return np.remainder(keys, k, out=keys), ids
+
+
+def _one_row(center):
+    c = as_point_array(center)
+    if c.shape[0] != 1:
+        raise ValueError(f"query takes one center, got {c.shape[0]}; use query_many")
+    return c
 
 
 def build(points, params):
@@ -214,19 +219,16 @@ class BruteForceIndex:
     points: np.ndarray
 
     def query(self, center, radius):
-        return self._scan(self._validate(as_point_array(center)[:1], radius)[0], radius)
+        return self.query_many(_one_row(center), radius)[1]
 
     def query_many(self, centers, radius):
-        c = self._validate(as_point_array(centers), radius)
-        hits = [self._scan(p, radius) for p in c]
-        rows = np.repeat(np.arange(len(hits)), [h.size for h in hits])
-        return rows, np.concatenate([_NO_IDS, *hits])
-
-    @staticmethod
-    def _validate(c, radius):
         if not (radius >= 0.0 and math.isfinite(radius)):
             raise ValueError(f"radius must be finite and >= 0, got {radius}")
-        return ensure_in_unit_cube(c, "query center")
+        c = ensure_in_unit_cube(as_point_array(centers), "query center")
+        hits = [self._scan(p, radius) for p in c]
+        keys = np.concatenate([_NO_IDS, *hits]) * len(hits)
+        keys += np.repeat(np.arange(len(hits)), [h.size for h in hits])
+        return _pairs(keys, len(hits))
 
     def _scan(self, p, radius):
         inside = squared_distances(self.points, p) <= radius * radius

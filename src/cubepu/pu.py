@@ -7,11 +7,10 @@ captures, and the global surface blends the local ones with inverse-distance
 
     I(p) = sum_j W_j(p) R_j(p),   sum_j W_j(p) = 1 wherever p is covered.
 
-The same cube-partition search answers both capture (nodes near a center)
-and evaluation (centers near a point) with (row, id) pairs, one batched
-`query_many` call per job: capture asks for every ball at once, and
-evaluation asks once per block of points; a brute-force scan engine is kept
-as the reference path.
+One cube-partition index over the centers tells both stages which balls
+cover each query point, as (row, id) pairs sorted by ball, then row: capture
+asks it for every node in one `query_many` call, and evaluation once per
+block of points.  A brute-force scan engine is kept as the reference path.
 A ball that captures no nodes stays in the model but never blends.
 `blend_weights` gives a block of points its (point, ball, weight) triples,
 including points on a center and points outside every ball.
@@ -87,7 +86,7 @@ class PUConfig:
     subdomain_count: int
     m_max: int | None = None
     center_source: str = "halton"  # "halton" | "grid" | "explicit"
-    centers: np.ndarray | None = None  # only read when center_source == "explicit"
+    centers: np.ndarray | None = None  # given exactly when center_source == "explicit"
 
     def __post_init__(self):
         for name in ("subdomain_count", "m_max"):
@@ -100,6 +99,9 @@ class PUConfig:
             raise ValueError(f"unknown center source {self.center_source!r}")
         if self.center_source == "explicit" and self.centers is None:
             raise ValueError("center_source='explicit' needs a centers array")
+        if self.center_source != "explicit" and self.centers is not None:
+            raise ValueError(f"a centers array needs center_source='explicit', "
+                             f"got {self.center_source!r}")
 
 
 @dataclass
@@ -109,8 +111,7 @@ class PUModel:
     points: np.ndarray   # (n, 3) node positions
     values: np.ndarray   # (n,)
     centers: np.ndarray  # (d, 3)
-    node_index: object    # CubeIndex or BruteForceIndex over the nodes
-    center_index: object  # same engine over the centers
+    center_index: object  # CubeIndex or BruteForceIndex over the centers
     # Every ball's ascending node ids end to end: ball j owns
     # node_ids[offsets[j]:offsets[j + 1]], an empty slice for a ball that
     # captured no nodes, and its coefficients are the same slice of
@@ -170,15 +171,9 @@ def _check_nodes(points, values):
     return pts, vals
 
 
-def _build_index(points, radius, search):
-    if search == "cube":
-        return cube_index.build(points, cube_index.grid_from_radius(radius))
-    return cube_index.brute_force_index(points)
-
-
 def fit_geometry(points, values, config, search="cube"):
-    """Capture stage only: validate nodes, place centers, bucket both point
-    sets, and record which nodes each ball owns.  The ball count and radius
+    """Capture stage only: validate nodes, place and bucket the centers, and
+    query every node for the balls that own it.  The ball count and radius
     come from the centers placed.  A ball that captures no nodes is kept,
     marked in `empty`, and left out of every blend; only a fit whose balls
     are all empty fails.  Coefficients stay unsolved so one geometry can be
@@ -192,11 +187,15 @@ def fit_geometry(points, values, config, search="cube"):
     if config.center_source == "explicit" and d != config.subdomain_count:
         raise ValueError(f"{d} centers for {config.subdomain_count} subdomains")
     radius = subdomain_radius(d)
-    node_index = _build_index(pts, radius, search)
-    center_index = _build_index(centers, radius, search)
+    if search == "cube":
+        center_index = cube_index.build(centers, cube_index.grid_from_radius(radius))
+    else:
+        center_index = cube_index.brute_force_index(centers)
 
-    rows, node_ids = node_index.query_many(centers, radius)
-    offsets = np.searchsorted(rows, np.arange(d + 1))
+    # the pairs come sorted by ball, then node: each ball's ascending node ids
+    node_ids, balls = center_index.query_many(pts, radius)
+    offsets = np.searchsorted(balls, np.arange(d + 1))
+    del balls
     sizes = np.diff(offsets)
     empty = sizes == 0
     if empty.all():
@@ -219,7 +218,6 @@ def fit_geometry(points, values, config, search="cube"):
         points=pts,
         values=vals,
         centers=centers,
-        node_index=node_index,
         center_index=center_index,
         node_ids=node_ids,
         offsets=offsets,
@@ -255,14 +253,14 @@ def blend_weights(model, points):
     """Unnormalized Shepard weights of the balls that blend at each point.
 
     Returns (owner, ids, weights, covered): ball ids[t] blends at row
-    owner[t] of `points` with weight weights[t], and covered[i] says whether
-    a ball that holds nodes covers row i.  The covering balls come from one
-    `query_many` call, as runs of ascending ids per row, and empty balls drop
-    out.  Every remaining ball weighs 1/distance.  Centers closer than
-    COINCIDENT_TOL weigh 1 each and the other covering balls drop out.  An
-    uncovered point takes its nearest nonempty center, ties to the lower id,
-    with weight 1, in a pair appended after all the covered ones; the
-    distances to every center are taken for DISTANCE_CHUNK of them at a time.
+    owner[t] of `points` with weight weights[t], the pairs sorted by ball and
+    then by row, and covered[i] says whether a ball that holds nodes covers
+    row i.  The covering balls come from one `query_many` call, and empty
+    balls drop out.  Every remaining ball weighs 1/distance.  Centers closer
+    than COINCIDENT_TOL weigh 1 each and the other covering balls drop out.
+    An uncovered point takes its nearest nonempty center, ties to the lower
+    id, with weight 1, in a pair merged into the ball order; the distances to
+    every center are taken for DISTANCE_CHUNK of them at a time.
     """
     pts = as_point_array(points)
     k = pts.shape[0]
@@ -291,6 +289,8 @@ def blend_weights(model, points):
         owner = np.concatenate([owner, lost])
         ids = np.concatenate([ids, nearest])
         weights = np.concatenate([weights, np.ones(lost.size)])
+        order = np.argsort(ids * k + owner)  # merge the new pairs into ball order
+        owner, ids, weights = owner[order], ids[order], weights[order]
     return owner, ids, weights, covered
 
 
@@ -298,12 +298,11 @@ def evaluate_report(model, points):
     """Blend the local interpolants at each row of `points`.
 
     Each block of BLEND_BLOCK points takes its weights from one
-    `blend_weights` call.  The (point, subdomain, weight) triples are sorted
-    by subdomain with a stable sort, and `_pair_values` evaluates each local
-    interpolant at the points of the block it serves; num and den are then
-    summed per point in that order, ascending subdomain, and each value is
-    num / den.  The report counts the points that no ball holding nodes
-    covered.
+    `blend_weights` call, whose (point, subdomain, weight) triples come
+    sorted by subdomain, and `_pair_values` evaluates each local interpolant
+    at the points of the block it serves; num and den are then summed per
+    point in that order, ascending subdomain, and each value is num / den.
+    The report counts the points that no ball holding nodes covered.
     """
     pts = as_point_array(points)
     ensure_in_unit_cube(pts, "evaluation point")
@@ -316,11 +315,6 @@ def evaluate_report(model, points):
         block = pts[first:first + BLEND_BLOCK]
         owner, ids, weights, covered = blend_weights(model, block)
         uncovered += covered.size - int(np.count_nonzero(covered))
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        weights = weights[order]
-        owner = owner[order]
-        del order
         local = _pair_values(model, block, owner, ids)
         local *= weights
         # bincount adds in pair order, so each point sums ascending subdomain

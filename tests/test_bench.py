@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from cubepu.bench import (
     sweep_shape,
 )
 from cubepu.cube_index import BruteForceIndex, grid_from_radius
-from cubepu.errors import SingularSystemError
+from cubepu.errors import DegenerateGridWarning, SingularSystemError
 
 
 # ---------------------------------------------------------------- fields
@@ -144,6 +145,21 @@ def test_run_experiment_small():
     # count is deterministic for Halton centers
     assert res.uncovered_points == 5
     assert res.empty_subdomains == 0
+
+
+def test_run_experiment_warns_once_and_reports_q_ceil():
+    # at d = 1 and d = 2 the radius spans the cube and the fit's grid
+    # degenerates to one cell, which it says once; q is the rounded-up count
+    q = {}
+    for d in (1, 2, 8, 43, 512, 4096, 32768):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            q[d] = run_experiment(ExperimentSpec(60, d, "w4", eval_grid_side=3), 0.54).q
+        assert [w.category for w in caught] == [DegenerateGridWarning] * (d <= 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGridWarning)
+            assert q[d] == grid_from_radius(pu.subdomain_radius(d)).q_ceil
+    assert (q[1], q[512], q[32768]) == (1, 6, 23)
 
 
 def test_run_experiment_counts_empty_subdomains(monkeypatch):

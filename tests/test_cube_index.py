@@ -227,6 +227,20 @@ def test_brute_force_index_matches_and_validates():
         bf.query((-0.1, 0.5, 0.5), 0.2)
 
 
+def test_query_takes_exactly_one_center():
+    # two rows would drop the second one's hits, and query_many answers both
+    pts = generate(HaltonConfig(200))
+    two = [[0.1, 0.1, 0.1], [0.9, 0.9, 0.9]]
+    for index in (build(pts, grid_from_radius(0.2)), brute_force_index(pts)):
+        for rows in (two, np.zeros((0, 3))):
+            with pytest.raises(ValueError, match="one center"):
+                index.query(rows, 0.2)
+        rows, ids = index.query_many(two, 0.2)
+        assert np.bincount(rows).tolist() == [4, 5]
+        for i, c in enumerate(two):
+            assert np.array_equal(ids[rows == i], index.query(c, 0.2))
+
+
 def _point_sets(rng):
     yield "uniform", rng.random((800, 3))
     yield "halton", generate(HaltonConfig(700))
@@ -290,14 +304,15 @@ def _engines(pts, radius):
 
 
 def _check_pairs(index, queries, radius):
+    """query_many's pairs sorted by id and then row, each pair once, and
+    every query row's ids equal to `query` and to a numpy scan."""
     rows, ids = index.query_many(queries, radius)
+    k = len(queries)
     assert rows.dtype == ids.dtype == np.int64 and rows.shape == ids.shape
-    assert (np.diff(rows) >= 0).all()
-    bounds = np.searchsorted(rows, np.arange(len(queries) + 1))
-    assert bounds[0] == 0 and bounds[-1] == rows.size  # every row in range
+    assert ((rows >= 0) & (rows < k)).all()
+    assert (np.diff(ids * k + rows) > 0).all()
     for i, c in enumerate(queries):
-        row = ids[bounds[i]:bounds[i + 1]]
-        assert (np.diff(row) > 0).all()
+        row = ids[rows == i]  # ascending, as the pairs are sorted by id
         assert np.array_equal(row, index.query(c, radius))
         assert np.array_equal(row, brute_ids(index.points, c, radius))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubepu import pu
+from cubepu import cube_index, pu
 from cubepu.bench import eval_grid, f1
 from cubepu.errors import (
     DegenerateGridWarning,
@@ -280,6 +280,11 @@ def test_fit_explicit_centers_validated():
             _config(d=3, center_source="explicit",
                     centers=np.array([[0.5, 0.5, 0.5]])),
             search="no_cube")
+    # a centers array under another source would be ignored without a word
+    for source in ("halton", "grid"):
+        with pytest.raises(ValueError, match="center_source='explicit'"):
+            PUConfig(KernelSpec("w4", 0.54), 1, center_source=source,
+                     centers=[[0.5, 0.5, 0.5]])
 
 
 def test_refit_kernel_reuses_geometry(nodes_1000):
@@ -375,6 +380,7 @@ def test_shepard_weights_sum_to_one(model_1000, pts):
     pts = np.array(pts, dtype=float).reshape(-1, 3)
     owner, ids, w, covered = blend_weights(model_1000, pts)
     assert owner.shape == ids.shape == w.shape
+    assert (np.diff(ids * len(pts) + owner) > 0).all()  # by ball, then row
     assert ((owner >= 0) & (owner < len(pts))).all() and covered.shape == (len(pts),)
     for i, p in enumerate(pts):
         row_ids, row_w = ids[owner == i], w[owner == i]
@@ -516,6 +522,11 @@ def test_evaluate_uncovered_fallback():
     rep2 = evaluate_report(model, both)
     assert rep2.uncovered == 1
     assert rep2.values[1] == report.values[0]
+    # the fallback pairs merge into the covered pairs' (ball, row) order
+    mix = np.vstack([far, centers[:4], [[0.9, 0.1, 0.8]], centers[4:]])
+    owner, ids, w, covered = blend_weights(model, mix)
+    assert (np.diff(ids * len(mix) + owner) > 0).all()
+    assert np.flatnonzero(~covered).tolist() == [0, 5]
 
 
 def test_blend_weights_uncovered_tie_takes_lower_id():
@@ -549,6 +560,22 @@ def test_evaluate_empty_batch(model_1000):
     report = evaluate_report(model_1000, np.zeros((0, 3)))
     assert report.values.shape == (0,)
     assert report.uncovered == 0
+
+
+@pytest.mark.parametrize("search", pu.SEARCH_MODES)
+def test_fit_builds_one_index_over_the_centers(nodes_1000, search, monkeypatch):
+    # capture and evaluation share the index: a cube fit builds it once, a
+    # scan fit never, and evaluation builds nothing
+    built = []
+    real = cube_index.build
+    monkeypatch.setattr(cube_index, "build",
+                        lambda points, params: built.append(points) or real(points, params))
+    pts, vals = nodes_1000
+    model = fit(pts, vals, _config(), search=search)
+    evaluate_batch(model, generate(HaltonConfig(50)))
+    assert len(built) == (search == "cube")
+    assert np.array_equal(model.center_index.points, model.centers)
+    assert not hasattr(model, "node_index")
 
 
 def test_fit_deterministic(nodes_1000):
@@ -603,19 +630,20 @@ def _reference_values(model, pts, blends):
 
 @pytest.mark.parametrize("search", pu.SEARCH_MODES)
 def test_batched_search_matches_per_point_queries(search, lattice_blends):
-    # 4913/512 at the canonical shapes: capture against a per-center query
-    # loop, the 41^3 lattice against per-point blends, single points against
-    # the batch
+    # 4913/512 at the canonical shapes: capture against a numpy scan of the
+    # nodes for every ball, the 41^3 lattice against per-point blends, single
+    # points against the batch
     nodes, lattice, blends, uncovered, reference = lattice_blends
     values = f1(nodes)
     geo = fit_geometry(nodes, values, _config(d=512), search=search)
     capped = fit_geometry(nodes, values, _config(d=512, m_max=60), search=search)
     for j, c in enumerate(geo.centers):
-        ids = geo.node_index.query(c, geo.radius)
+        diff = nodes - c
+        d2 = (diff * diff).sum(axis=1)
+        ids = np.flatnonzero(d2 <= geo.radius * geo.radius)
         assert np.array_equal(geo.node_ids[_ball(geo, j)], ids)
-        d2 = ((nodes[ids] - c) ** 2).sum(axis=1)
         assert np.array_equal(capped.node_ids[_ball(capped, j)],
-                              np.sort(ids[np.lexsort((ids, d2))[:60]]))
+                              np.sort(ids[np.lexsort((ids, d2[ids]))[:60]]))
     sample = np.arange(0, len(lattice), 331)
     for family, shape in CANONICAL:
         model = refit_kernel(geo, KernelSpec(family, shape))
