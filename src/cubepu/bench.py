@@ -8,18 +8,20 @@ i/(s-1) (s = 11 by default, 1331 points).
 An `ExperimentSpec` describes that setup only.  The kernel shape, the one
 thing the paper's experiments vary on a fixed setup, is passed to each run:
 `run_experiment(spec, shape)`, `compare_search(spec, shape)` and
-`sweep_shape(spec, shapes)`.
+`sweep_shape(spec, shapes)`.  Experiments and sweeps use the cube search;
+`compare_search` alone also runs the plain scan, as the reference that the
+cube search must match bit for bit.
 """
 
 import math
-import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import pu
 from .errors import SingularSystemError
+from .geometry import require_int
 from .halton import HaltonConfig, generate
 from .rbf import KernelSpec
 
@@ -84,7 +86,6 @@ class ExperimentSpec:
     function: str = "f1"
     eval_grid_side: int = 11
     m_max: int | None = None
-    search: str = "cube"  # "cube" | "no_cube"
     center_source: str = "halton"
 
     def __post_init__(self):
@@ -93,14 +94,8 @@ class ExperimentSpec:
                 f"unknown test function {self.function!r}; expected one of "
                 f"{tuple(TEST_FUNCTIONS)}"
             )
-        if self.search not in pu.SEARCH_MODES:
-            raise ValueError(
-                f"search must be one of {pu.SEARCH_MODES}, got {self.search!r}"
-            )
-        for name, least in (("node_count", 1), ("eval_grid_side", 2)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        require_int("node_count", self.node_count, 1)
+        require_int("eval_grid_side", self.eval_grid_side, 2)
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,7 @@ def _pu_config(spec, shape):
     )
 
 
-def _result(spec, shape, model, report, truth, fit_s, eval_s):
+def _result(spec, shape, search, model, report, truth, fit_s, eval_s):
     return ExperimentResult(
         n=spec.node_count,
         d=model.centers.shape[0],
@@ -146,7 +141,7 @@ def _result(spec, shape, model, report, truth, fit_s, eval_s):
         shape=float(shape),
         function=spec.function,
         m_max=spec.m_max,
-        mode=spec.search,
+        mode=search,
         rmse=rmse(truth, report.values),
         max_abs_error=float(np.abs(report.values - truth).max()),
         fit_seconds=fit_s,
@@ -160,21 +155,22 @@ def _result(spec, shape, model, report, truth, fit_s, eval_s):
 
 def run_experiment(spec, shape):
     """One experiment at one shape: generate, fit, evaluate on the grid, score."""
-    return _experiment(spec, shape)[0]
+    return _experiment(spec, shape, "cube")[0]
 
 
-def _experiment(spec, shape):
-    """run_experiment's result, and the evaluation report it scored."""
+def _experiment(spec, shape, search):
+    """run_experiment's result under one search engine, and the evaluation
+    report it scored."""
     nodes, values = _nodes_and_values(spec)
     t0 = time.perf_counter()
-    model = pu.fit(nodes, values, _pu_config(spec, shape), search=spec.search)
+    model = pu.fit(nodes, values, _pu_config(spec, shape), search=search)
     fit_s = time.perf_counter() - t0
     grid = eval_grid(spec.eval_grid_side)
     t1 = time.perf_counter()
     report = pu.evaluate_report(model, grid)
     eval_s = time.perf_counter() - t1
     truth = TEST_FUNCTIONS[spec.function](grid)
-    return _result(spec, shape, model, report, truth, fit_s, eval_s), report
+    return _result(spec, shape, search, model, report, truth, fit_s, eval_s), report
 
 
 @dataclass(frozen=True)
@@ -197,9 +193,7 @@ def sweep_shape(spec, shapes):
     truth = TEST_FUNCTIONS[spec.function](grid)
 
     t0 = time.perf_counter()
-    geometry = pu.fit_geometry(
-        nodes, values, _pu_config(spec, shapes[0]), search=spec.search
-    )
+    geometry = pu.fit_geometry(nodes, values, _pu_config(spec, shapes[0]))
     capture_s = time.perf_counter() - t0
 
     curve = []
@@ -216,7 +210,7 @@ def sweep_shape(spec, shapes):
         t2 = time.perf_counter()
         report = pu.evaluate_report(model, grid)
         eval_s = time.perf_counter() - t2
-        res = _result(spec, s, model, report, truth, fit_s, eval_s)
+        res = _result(spec, s, "cube", model, report, truth, fit_s, eval_s)
         curve.append((float(s), res.rmse))
         results.append(res)
 
@@ -236,8 +230,8 @@ def compare_search(spec, shape):
     Returns (cube_result, no_cube_result, identical).  `identical` says
     whether the two engines gave the same evaluated lattice values, bit for
     bit, and the same uncovered count; only the timings may differ."""
-    res_cube, rep_cube = _experiment(replace(spec, search="cube"), shape)
-    res_scan, rep_scan = _experiment(replace(spec, search="no_cube"), shape)
+    res_cube, rep_cube = _experiment(spec, shape, "cube")
+    res_scan, rep_scan = _experiment(spec, shape, "no_cube")
     identical = (np.array_equal(rep_cube.values, rep_scan.values)
                  and rep_cube.uncovered == rep_scan.uncovered)
     return res_cube, res_scan, identical

@@ -17,7 +17,9 @@ significant digits so a write/read round trip is exact.
 library inputs added to it; each subcommand's `_run_*` function reads that
 namespace directly, with no request objects in between.  The experiment
 commands hand the library a setup spec, and the kernel shape (or, for sweep,
-the array of shapes) as an argument of its own.
+the array of shapes) as an argument of its own.  Every command fits with the
+cube search; compare-search also runs the plain scan and checks that the two
+engines agree bit for bit.
 
 Exit codes: 0 success, 1 usage, 2 input data, 3 numerical failure.
 """
@@ -239,8 +241,6 @@ def _add_common(p, needs_shape):
         p.add_argument("--shape", type=float, default=None)
     p.add_argument("--function", choices=tuple(bench.TEST_FUNCTIONS), default=None)
     p.add_argument("--mmax", type=int, default=None, help="cap on nodes per subdomain")
-    p.add_argument("--no-cube", action="store_true",
-                   help="use the plain scan instead of the cube search")
     p.add_argument("--eval", dest="eval_src", default="grid:11",
                    help="evaluation points (default grid:11)")
     p.add_argument("--centers", default="halton",
@@ -298,21 +298,19 @@ def _experiment_spec(args):
         function=args.function or "f1",
         eval_grid_side=side,
         m_max=args.mmax,
-        search=args.search,
         center_source=args.centers,
     )
 
 
 def parse_args(argv=None):
-    """Check argv and return argparse's namespace with `search` added; for
-    bench, sweep and compare-search also the `bench.ExperimentSpec` as
-    `spec`, and for sweep the array of shape values as `shapes`."""
+    """Check argv and return argparse's namespace; for bench, sweep and
+    compare-search with the `bench.ExperimentSpec` added as `spec`, and for
+    sweep also the array of shape values as `shapes`."""
     args = build_parser().parse_args(argv)
     if args.mmax is not None and args.mmax < 1:
         raise UsageError(f"--mmax must be >= 1, got {args.mmax}")
     if args.subdomains is not None and args.subdomains < 1:
         raise UsageError(f"--subdomains must be >= 1, got {args.subdomains}")
-    args.search = "no_cube" if args.no_cube else "cube"
     if args.command == "sweep":
         args.shapes = np.linspace(*parse_shape_range(args.shape_range))
     elif args.shape is None or args.shape <= 0:
@@ -334,6 +332,11 @@ def _run_fit(args):
                 "node source carries no values; pass --function to sample a test field"
             )
         values = bench.TEST_FUNCTIONS[args.function](nodes)
+    elif args.function is not None:
+        raise UsageError(
+            "node file carries its own values; --function applies only to "
+            "nodes without values"
+        )
 
     centers = None
     d = args.subdomains or _default_subdomains(nodes.shape[0])
@@ -354,7 +357,7 @@ def _run_fit(args):
         center_source=args.centers if centers is None else "explicit",
         centers=centers,
     )
-    model = pu.fit(nodes, values, config, search=args.search)
+    model = pu.fit(nodes, values, config)
     eval_pts, _ = load_point_source(parse_point_source(args.eval_src), "evaluation points")
     report = pu.evaluate_report(model, eval_pts)
     if report.uncovered:

@@ -24,14 +24,13 @@ neighbors.  The rounded-up count is kept alongside for benchmark reporting.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGridWarning, RadiusTooLargeError
-from .geometry import as_point_array, ensure_in_unit_cube, squared_distances
+from .geometry import as_point_array, ensure_in_unit_cube, require_int, squared_distances
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,7 @@ class GridParams:
     q_ceil: int | None = None  # rounded-up cell count, for table reporting only
 
     def __post_init__(self):
-        if not isinstance(self.q, numbers.Integral) or self.q < 1:
-            raise ValueError(f"q must be an integer >= 1, got {self.q!r}")
+        require_int("q", self.q, 1)
 
     @property
     def cube_side(self):
@@ -212,8 +210,8 @@ class BruteForceIndex:
     """Same query contract as CubeIndex, by scanning every stored point.
 
     Kept as the reference path for benchmarking the cube structure against,
-    and as the plain-scan engine behind --no-cube: `query_many` is a plain
-    loop of per-row scans.
+    and as the plain-scan engine that compare-search runs: `query_many` is a
+    plain loop of per-row scans.
     """
 
     points: np.ndarray

@@ -1,8 +1,11 @@
-"""Validation and coercion for points in the closed unit cube, and the one
-squared-distance routine that search and blend share.
+"""Validation and coercion for points in the closed unit cube, the one
+integer-argument check the config types share, and the one squared-distance
+routine that search and blend share.
 
 Everything downstream works on float64 arrays of shape (n, 3).
 """
+
+import numbers
 
 import numpy as np
 
@@ -37,6 +40,14 @@ def ensure_in_unit_cube(pts, what="point"):
             f"{what} {i} = {tuple(pts[i])} is outside the closed unit cube"
         )
     return pts
+
+
+def require_int(name, value, least):
+    """Raise ValueError naming `name` unless `value` is an integer (Python or
+    numpy, but not a bool) of at least `least`."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def squared_distances(a, b):

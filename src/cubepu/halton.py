@@ -1,15 +1,16 @@
 """Halton low-discrepancy sequences on the unit cube.
 
-The d-th point uses the radical inverse of its index in a fixed prime base
-per coordinate.  Starting the sequence at index 1 (the default) keeps the
-origin out of the point set.
+The i-th point (i = 1, 2, ...) takes, in each coordinate, the radical inverse
+of i in that coordinate's prime base.  The sequence starts at index 1, which
+keeps the origin out of the point set.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import require_int
 
 DEFAULT_BASES = (2, 3, 5)
 
@@ -18,13 +19,9 @@ DEFAULT_BASES = (2, 3, 5)
 class HaltonConfig:
     count: int
     bases: tuple = DEFAULT_BASES
-    start_index: int = 1
 
     def __post_init__(self):
-        for name in ("count", "start_index"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        require_int("count", self.count, 0)
         if len(self.bases) != 3:
             raise ValueError(f"need one base per coordinate, got {self.bases}")
         if any(b < 2 for b in self.bases):
@@ -37,20 +34,9 @@ class HaltonConfig:
                     )
 
 
-def radical_inverse(index, base):
-    """Reflect the base-b digits of a nonnegative integer about the radix point."""
-    inv = 0.0
-    denom = 1.0
-    while index > 0:
-        denom *= base
-        index, digit = divmod(index, base)
-        inv += digit / denom
-    return inv
-
-
 def _radical_inverse_many(indices, base):
-    """Vectorized radical inverse; digit-by-digit, same accumulation order as
-    the scalar loop so the results agree bit for bit."""
+    """Reflect the base-b digits of each nonnegative integer about the radix
+    point, adding the digits lowest first."""
     rem = np.asarray(indices, dtype=np.int64).copy()
     inv = np.zeros(rem.shape, dtype=np.float64)
     denom = 1.0
@@ -63,8 +49,6 @@ def _radical_inverse_many(indices, base):
 
 def generate(config):
     """The Halton point set for config, as a (count, 3) array in [0, 1)^3."""
-    idx = np.arange(
-        config.start_index, config.start_index + config.count, dtype=np.int64
-    )
+    idx = np.arange(1, config.count + 1, dtype=np.int64)
     cols = [_radical_inverse_many(idx, b) for b in config.bases]
     return np.column_stack(cols) if config.count else np.empty((0, 3))

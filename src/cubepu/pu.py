@@ -25,14 +25,13 @@ the per-ball calls read those slices and the flat pass gathers from them.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cube_index, halton
 from .errors import EmptySubdomainError
-from .geometry import as_point_array, ensure_in_unit_cube, squared_distances
+from .geometry import as_point_array, ensure_in_unit_cube, require_int, squared_distances
 from .rbf import (
     ILL_CONDITION_LIMIT,
     KernelSpec,
@@ -89,12 +88,9 @@ class PUConfig:
     centers: np.ndarray | None = None  # given exactly when center_source == "explicit"
 
     def __post_init__(self):
-        for name in ("subdomain_count", "m_max"):
-            value = getattr(self, name)
-            if name == "m_max" and value is None:
-                continue
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        require_int("subdomain_count", self.subdomain_count, 1)
+        if self.m_max is not None:
+            require_int("m_max", self.m_max, 1)
         if self.center_source not in ("halton", "grid", "explicit"):
             raise ValueError(f"unknown center source {self.center_source!r}")
         if self.center_source == "explicit" and self.centers is None:

@@ -108,15 +108,17 @@ def test_rmse_below_max_error():
 def test_experiment_spec_validation():
     with pytest.raises(ValueError, match="function"):
         ExperimentSpec(100, 10, "g", function="f9")
-    with pytest.raises(ValueError, match="search"):
-        ExperimentSpec(100, 10, "g", search="kdtree")
+    # the engine is not part of the setup: compare_search picks each one
+    with pytest.raises(TypeError):
+        ExperimentSpec(100, 10, "g", search="no_cube")
     with pytest.raises(ValueError, match="node_count"):
         ExperimentSpec(0, 10, "g")
     # counts that are not integers are refused up front: 343.5 would be
     # reported as n, and a 5.5 side would fail inside eval_grid
-    with pytest.raises(ValueError, match="node_count"):
-        ExperimentSpec(343.5, 43, "w4")
-    for side in (5.5, 1, 5.0):
+    for n in (343.5, True):
+        with pytest.raises(ValueError, match="node_count"):
+            ExperimentSpec(n, 43, "w4")
+    for side in (5.5, 1, 5.0, True):
         with pytest.raises(ValueError, match="eval_grid_side"):
             ExperimentSpec(343, 43, "w4", eval_grid_side=side)
     spec = ExperimentSpec(np.int64(343), 43, "w4", eval_grid_side=np.int64(5))

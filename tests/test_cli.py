@@ -52,7 +52,7 @@ def test_parse_args_bench():
                        "--kernel", "g", "--shape", "2.7"])
     assert args.command == "bench" and args.shape == 2.7
     assert args.spec == ExperimentSpec(4913, 512, "g")
-    assert args.search == "cube" and not hasattr(args, "shapes")
+    assert not hasattr(args, "shapes")
     assert args.format == "csv" and args.out is None
 
 
@@ -60,13 +60,10 @@ def test_parse_args_options_flow_through(tmp_path):
     out = str(tmp_path / "r.json")
     args = parse_args(["bench", "--nodes", "halton:800", "--kernel", "m4",
                        "--shape", "3", "--function", "f2", "--eval", "grid:7",
-                       "--mmax", "50", "--no-cube", "--format", "json",
-                       "--out", out])
+                       "--mmax", "50", "--format", "json", "--out", out])
     # subdomain count defaults to n/8
     assert args.spec == ExperimentSpec(800, 100, "m4", function="f2",
-                                       eval_grid_side=7, m_max=50,
-                                       search="no_cube")
-    assert args.search == "no_cube"
+                                       eval_grid_side=7, m_max=50)
     assert args.format == "json" and args.out == out
 
 
@@ -85,7 +82,7 @@ def test_parse_args_fit_defaults():
     assert args.nodes == "file:pts.txt" and args.eval_src == "grid:11"
     assert (args.kernel, args.shape) == (DEFAULT_KERNEL, DEFAULT_SHAPE)
     assert args.centers == "halton" and args.subdomains is None
-    assert args.function is None and args.search == "cube"
+    assert args.function is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -323,14 +320,13 @@ def test_main_fit_explicit_centers(tmp_path, capsys):
     centers = tmp_path / "centers.txt"
     centers.write_text("0.3 0.3 0.3\n0.7 0.7 0.7\n")
     code = main(["fit", "--nodes", "halton:150", "--function", "f1",
-                 "--centers", f"file:{centers}", "--eval", "grid:3",
-                 "--no-cube"])
+                 "--centers", f"file:{centers}", "--eval", "grid:3"])
     assert code == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 28
     # count mismatch is a usage error
     code = main(["fit", "--nodes", "halton:150", "--function", "f1",
                  "--centers", f"file:{centers}", "--subdomains", "3",
-                 "--eval", "grid:3", "--no-cube"])
+                 "--eval", "grid:3"])
     assert code == 1
 
 
@@ -339,6 +335,14 @@ def test_main_fit_missing_function_is_usage_error(tmp_path, capsys):
     src.write_text("0.2 0.2 0.2\n0.8 0.8 0.8\n")
     assert main(["fit", "--nodes", f"file:{src}"]) == 1
     assert "carries no values" in capsys.readouterr().err
+
+
+def test_main_fit_function_with_valued_file_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "p4.txt"
+    src.write_text("0.2 0.2 0.2 1.0\n0.8 0.8 0.8 2.0\n")
+    assert main(["fit", "--nodes", f"file:{src}", "--function", "f2",
+                 "--subdomains", "1", "--eval", "grid:2"]) == 1
+    assert "carries its own values" in capsys.readouterr().err
 
 
 def test_main_bad_file_is_input_error(tmp_path, capsys):
@@ -405,6 +409,19 @@ def test_main_unwritable_out_is_io_error(capsys):
 def test_main_usage_error_messages(capsys):
     assert main(["bench", "--nodes", "halton:100", "--kernel", "g"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_main_no_cube_is_usage_error(capsys):
+    # the plain scan runs only inside compare-search; no option selects it
+    for argv in (["fit", "--nodes", "halton:100", "--function", "f1"],
+                 BENCH_SMALL,
+                 ["sweep", "--nodes", "halton:100", "--kernel", "g",
+                  "--range", "1:5:3"],
+                 ["compare-search", "--nodes", "halton:100", "--kernel", "g",
+                  "--shape", "2"]):
+        parse_args(argv)  # valid without the flag
+        assert main(argv + ["--no-cube"]) == 1
+        assert "unrecognized arguments: --no-cube" in capsys.readouterr().err
 
 
 def test_main_sweep(capsys):

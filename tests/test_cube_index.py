@@ -77,7 +77,7 @@ def test_grid_side_never_below_radius(radius):
 
 def test_grid_params_needs_an_integer_q():
     assert GridParams(q=np.int64(2)).cube_side == 0.5
-    for q in (0, 2.5, "2"):
+    for q in (0, 2.5, "2", True):
         with pytest.raises(ValueError, match="integer >= 1"):
             GridParams(q=q)
 

@@ -204,7 +204,9 @@ def test_fit_rejects_bad_nodes():
         fit([(0.5, 0.5, 0.5)], [1.0], cfg, search="octree")
     # counts must be integers: numpy integers pass, 8.5 balls or 2.5 nodes do not
     assert _config(d=np.int64(8), m_max=np.int32(20)).m_max == 20
-    for kw in ({"d": 8.5}, {"d": 0}, {"m_max": 2.5}, {"m_max": 0}):
+    # a bool is refused too: PUConfig(kernel, True) would fit one ball
+    for kw in ({"d": 8.5}, {"d": 0}, {"d": True}, {"m_max": 2.5}, {"m_max": 0},
+               {"m_max": True}):
         with pytest.raises(ValueError, match="integer >= 1"):
             _config(**kw)
 
