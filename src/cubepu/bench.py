@@ -8,9 +8,10 @@ i/(s-1) (s = 11 by default, 1331 points).
 An `ExperimentSpec` describes that setup only.  The kernel shape, the one
 thing the paper's experiments vary on a fixed setup, is passed to each run:
 `run_experiment(spec, shape)`, `compare_search(spec, shape)` and
-`sweep_shape(spec, shapes)`.  Experiments and sweeps use the cube search;
-`compare_search` alone also runs the plain scan, as the reference that the
-cube search must match bit for bit.
+`sweep_shape(spec, shapes)`.  All three run one loop: capture once, then
+solve, evaluate and score each shape; the first shape that solves carries the
+capture time.  `compare_search` runs it once per search engine, the plain scan
+being the reference that the cube search must match bit for bit.
 """
 
 import math
@@ -115,21 +116,12 @@ class ExperimentResult:
     total_seconds: float
     uncovered_points: int
     illconditioned_solves: int
-    empty_subdomains: int = 0
+    empty_subdomains: int
 
 
 def _nodes_and_values(spec):
     nodes = generate(HaltonConfig(spec.node_count))
     return nodes, TEST_FUNCTIONS[spec.function](nodes)
-
-
-def _pu_config(spec, shape):
-    return pu.PUConfig(
-        kernel=KernelSpec(spec.kernel_family, shape),
-        subdomain_count=spec.subdomain_count,
-        m_max=spec.m_max,
-        center_source=spec.center_source,
-    )
 
 
 def _result(spec, shape, search, model, report, truth, fit_s, eval_s):
@@ -153,24 +145,50 @@ def _result(spec, shape, search, model, report, truth, fit_s, eval_s):
     )
 
 
+def _runs(spec, shapes, search):
+    """The one experiment loop: capture once under `search`, then solve,
+    evaluate and score each shape.  Returns, per shape in order, its
+    (ExperimentResult, EvalReport) or the SingularSystemError of its solve."""
+    nodes, values = _nodes_and_values(spec)
+    grid = eval_grid(spec.eval_grid_side)
+    truth = TEST_FUNCTIONS[spec.function](grid)
+    config = pu.PUConfig(
+        kernel=KernelSpec(spec.kernel_family, shapes[0]),
+        subdomain_count=spec.subdomain_count,
+        m_max=spec.m_max,
+        center_source=spec.center_source,
+    )
+    t0 = time.perf_counter()
+    geometry = pu.fit_geometry(nodes, values, config, search)
+    capture_s = time.perf_counter() - t0
+    runs = []
+    for s in shapes:
+        t1 = time.perf_counter()
+        try:
+            model = pu.refit_kernel(geometry, KernelSpec(spec.kernel_family, float(s)))
+        except SingularSystemError as e:
+            runs.append(e)
+            continue
+        fit_s = capture_s + time.perf_counter() - t1
+        capture_s = 0.0  # the first shape that solves carries the capture time
+        t2 = time.perf_counter()
+        report = pu.evaluate_report(model, grid)
+        eval_s = time.perf_counter() - t2
+        runs.append((_result(spec, s, search, model, report, truth, fit_s, eval_s), report))
+    return runs
+
+
+def _run_one(spec, shape, search):
+    """The loop at one shape; a collapsed solve re-raises its error."""
+    (run,) = _runs(spec, [shape], search)
+    if isinstance(run, SingularSystemError):
+        raise run
+    return run
+
+
 def run_experiment(spec, shape):
     """One experiment at one shape: generate, fit, evaluate on the grid, score."""
-    return _experiment(spec, shape, "cube")[0]
-
-
-def _experiment(spec, shape, search):
-    """run_experiment's result under one search engine, and the evaluation
-    report it scored."""
-    nodes, values = _nodes_and_values(spec)
-    t0 = time.perf_counter()
-    model = pu.fit(nodes, values, _pu_config(spec, shape), search=search)
-    fit_s = time.perf_counter() - t0
-    grid = eval_grid(spec.eval_grid_side)
-    t1 = time.perf_counter()
-    report = pu.evaluate_report(model, grid)
-    eval_s = time.perf_counter() - t1
-    truth = TEST_FUNCTIONS[spec.function](grid)
-    return _result(spec, shape, search, model, report, truth, fit_s, eval_s), report
+    return _run_one(spec, shape, "cube")[0]
 
 
 @dataclass(frozen=True)
@@ -188,39 +206,18 @@ def sweep_shape(spec, shapes):
     rather than aborting the sweep."""
     if len(shapes) == 0:
         raise ValueError("sweep_shape needs at least one shape")
-    nodes, values = _nodes_and_values(spec)
-    grid = eval_grid(spec.eval_grid_side)
-    truth = TEST_FUNCTIONS[spec.function](grid)
-
-    t0 = time.perf_counter()
-    geometry = pu.fit_geometry(nodes, values, _pu_config(spec, shapes[0]))
-    capture_s = time.perf_counter() - t0
-
-    curve = []
-    results = []
-    for s in shapes:
-        t1 = time.perf_counter()
-        try:
-            model = pu.refit_kernel(geometry, KernelSpec(spec.kernel_family, float(s)))
-        except SingularSystemError:
-            curve.append((float(s), float("inf")))
-            continue
-        # the first shape that solves carries the shared capture time
-        fit_s = (0.0 if results else capture_s) + time.perf_counter() - t1
-        t2 = time.perf_counter()
-        report = pu.evaluate_report(model, grid)
-        eval_s = time.perf_counter() - t2
-        res = _result(spec, s, "cube", model, report, truth, fit_s, eval_s)
-        curve.append((float(s), res.rmse))
-        results.append(res)
-
-    errs = [r for _, r in curve]
-    best = int(np.argmin(errs))  # ties resolve to the smallest shape
+    runs = _runs(spec, shapes, "cube")
+    results = tuple(r[0] for r in runs if not isinstance(r, SingularSystemError))
+    curve = tuple(
+        (float(s), float("inf") if isinstance(r, SingularSystemError) else r[0].rmse)
+        for s, r in zip(shapes, runs)
+    )
+    best = int(np.argmin([r for _, r in curve]))  # ties resolve to the smallest shape
     return SweepResult(
-        points=tuple(curve),
+        points=curve,
         best_shape=curve[best][0],
         best_rmse=curve[best][1],
-        results=tuple(results),
+        results=results,
     )
 
 
@@ -230,8 +227,8 @@ def compare_search(spec, shape):
     Returns (cube_result, no_cube_result, identical).  `identical` says
     whether the two engines gave the same evaluated lattice values, bit for
     bit, and the same uncovered count; only the timings may differ."""
-    res_cube, rep_cube = _experiment(spec, shape, "cube")
-    res_scan, rep_scan = _experiment(spec, shape, "no_cube")
+    (res_cube, rep_cube), (res_scan, rep_scan) = [
+        _run_one(spec, shape, search) for search in pu.SEARCH_MODES]
     identical = (np.array_equal(rep_cube.values, rep_scan.values)
                  and rep_cube.uncovered == rep_scan.uncovered)
     return res_cube, res_scan, identical

@@ -360,23 +360,15 @@ def _run_fit(args):
     model = pu.fit(nodes, values, config)
     eval_pts, _ = load_point_source(parse_point_source(args.eval_src), "evaluation points")
     report = pu.evaluate_report(model, eval_pts)
-    if report.uncovered:
-        print(
-            f"warning: {report.uncovered} evaluation points outside every "
-            f"subdomain that holds nodes (nearest-center fallback used)",
-            file=sys.stderr,
-        )
-    if model.illconditioned_solves:
-        print(
-            f"warning: {model.illconditioned_solves} ill-conditioned local solves",
-            file=sys.stderr,
-        )
-    if model.empty.any():
-        print(
-            f"warning: {np.count_nonzero(model.empty)} subdomains contain no nodes "
-            f"(left out of the blend)",
-            file=sys.stderr,
-        )
+    for count, message in (
+        (report.uncovered, "evaluation points outside every subdomain that "
+                           "holds nodes (nearest-center fallback used)"),
+        (model.illconditioned_solves, "ill-conditioned local solves"),
+        (np.count_nonzero(model.empty), "subdomains contain no nodes "
+                                        "(left out of the blend)"),
+    ):
+        if count:
+            print(f"warning: {count} {message}", file=sys.stderr)
     write_text(render_values(eval_pts, report.values, args.format), args.out)
 
 

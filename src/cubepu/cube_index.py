@@ -51,9 +51,10 @@ def grid_from_radius(radius):
     one-cell halo exactly.
 
     q = floor(1/radius), clamped to >= 1 and nudged down if floating-point
-    rounding ever left 1/q below the radius.  A radius above 1 degenerates to
-    a single cell (every query scans everything); that is legal but worth a
-    warning.
+    rounding ever left 1/q below the radius.  Every radius above 1/2 gives
+    q = 1, a single cell that every query scans whole: at the paper's radius
+    sqrt(2)/cbrt(d) that is every d <= 22.  Only a radius above 1 (d <= 2),
+    which spans the whole unit cube, warns with DegenerateGridWarning.
     """
     radius = float(radius)
     if not (radius > 0.0 and math.isfinite(radius)):

@@ -24,8 +24,8 @@ class HaltonConfig:
         require_int("count", self.count, 0)
         if len(self.bases) != 3:
             raise ValueError(f"need one base per coordinate, got {self.bases}")
-        if any(b < 2 for b in self.bases):
-            raise ValueError(f"bases must be >= 2, got {self.bases}")
+        for b in self.bases:
+            require_int("bases", b, 2)
         for i in range(3):
             for j in range(i + 1, 3):
                 if math.gcd(self.bases[i], self.bases[j]) != 1:
@@ -51,4 +51,4 @@ def generate(config):
     """The Halton point set for config, as a (count, 3) array in [0, 1)^3."""
     idx = np.arange(1, config.count + 1, dtype=np.int64)
     cols = [_radical_inverse_many(idx, b) for b in config.bases]
-    return np.column_stack(cols) if config.count else np.empty((0, 3))
+    return np.column_stack(cols)

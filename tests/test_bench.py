@@ -197,7 +197,10 @@ def test_sweep_single_point_matches_run():
     assert swp.points == ((0.54, res.rmse),)
     assert swp.best_shape == 0.54
     assert swp.best_rmse == res.rmse
-    assert len(swp.results) == 1 and swp.results[0].rmse == res.rmse
+    assert len(swp.results) == 1
+    # every field but the timings is the same result
+    timings = {"fit_seconds": 0.0, "eval_seconds": 0.0, "total_seconds": 0.0}
+    assert replace(swp.results[0], **timings) == replace(res, **timings)
 
 
 def test_sweep_curve_and_argmin():
@@ -249,7 +252,7 @@ def test_sweep_capture_time_survives_singular_first_shape(monkeypatch):
     assert len(swp.results) == 2
     # the first shape that solves carries the capture time
     assert swp.results[0].fit_seconds >= 0.2
-    assert swp.results[1].fit_seconds < swp.results[0].fit_seconds
+    assert swp.results[1].fit_seconds < 0.2
 
 
 def test_sweep_all_singular(monkeypatch):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cubepu import pu
 from cubepu.bench import ExperimentResult, f1, run_experiment, ExperimentSpec
 from cubepu.cli import (
     DEFAULT_KERNEL,
@@ -24,7 +25,12 @@ from cubepu.cli import (
     render_sweep,
     render_values,
 )
-from cubepu.errors import PointFileError, UsageError
+from cubepu.errors import (
+    DegenerateGridWarning,
+    PointFileError,
+    SingularSystemError,
+    UsageError,
+)
 from cubepu.halton import HaltonConfig, generate
 
 
@@ -183,7 +189,7 @@ def _result(rmse=1.234e-5):
         n=343, d=43, q=3, kernel="w4", shape=0.54, function="f1",
         m_max=None, mode="cube", rmse=rmse, max_abs_error=3 * rmse,
         fit_seconds=0.01, eval_seconds=0.002, total_seconds=0.012,
-        uncovered_points=5, illconditioned_solves=0,
+        uncovered_points=5, illconditioned_solves=0, empty_subdomains=0,
     )
 
 
@@ -319,8 +325,10 @@ def test_main_fit_function_sampling(tmp_path):
 def test_main_fit_explicit_centers(tmp_path, capsys):
     centers = tmp_path / "centers.txt"
     centers.write_text("0.3 0.3 0.3\n0.7 0.7 0.7\n")
-    code = main(["fit", "--nodes", "halton:150", "--function", "f1",
-                 "--centers", f"file:{centers}", "--eval", "grid:3"])
+    # two balls of radius 1.12 span the cube: the grid is one cell
+    with pytest.warns(DegenerateGridWarning):
+        code = main(["fit", "--nodes", "halton:150", "--function", "f1",
+                     "--centers", f"file:{centers}", "--eval", "grid:3"])
     assert code == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 28
     # count mismatch is a usage error
@@ -376,6 +384,20 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical error" in err and "all 8 subdomains contain no nodes" in err
+
+
+@pytest.mark.parametrize("command", ["bench", "compare-search"])
+def test_main_singular_solve_exit_code(monkeypatch, capsys, command):
+    # a collapsed solve of the one shape is a numerical failure, not a score
+    def collapsed(geometry, kernel):
+        raise SingularSystemError(7, 12)
+
+    monkeypatch.setattr(pu, "refit_kernel", collapsed)
+    code = main([command, "--nodes", "halton:343", "--subdomains", "43",
+                 "--kernel", "w4", "--shape", "0.54", "--eval", "grid:5"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical error: subdomain 7: singular 12x12 collocation matrix\n")
 
 
 def test_main_fit_drops_empty_subdomains(tmp_path, capsys):

@@ -58,6 +58,10 @@ def test_config_validation():
         HaltonConfig(10, bases=(1, 3, 5))
     with pytest.raises(ValueError):
         HaltonConfig(10, bases=(2, 3))
+    # a base that is not an integer is refused like every other bad field
+    for bases in ((2, 3, 5.0), (2, 3, "5")):
+        with pytest.raises(ValueError, match="bases"):
+            HaltonConfig(3, bases=bases)
     # the sequence always starts at index 1
     with pytest.raises(TypeError):
         HaltonConfig(10, start_index=0)
