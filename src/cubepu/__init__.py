@@ -1,7 +1,6 @@
 """Trivariate partition-of-unity RBF interpolation with cube-partition search."""
 
 from .errors import (
-    DegenerateGridWarning,
     EmptySubdomainError,
     InterpolationError,
     OutOfDomainError,

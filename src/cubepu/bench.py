@@ -14,13 +14,12 @@ capture time.  `compare_search` runs it once per search engine, the plain scan
 being the reference that the cube search must match bit for bit.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import pu
+from . import cube_index, pu
 from .errors import SingularSystemError
 from .geometry import require_int
 from .halton import HaltonConfig, generate
@@ -87,7 +86,7 @@ class ExperimentSpec:
     function: str = "f1"
     eval_grid_side: int = 11
     m_max: int | None = None
-    center_source: str = "halton"
+    centers: str = "halton"
 
     def __post_init__(self):
         if self.function not in TEST_FUNCTIONS:
@@ -128,7 +127,7 @@ def _result(spec, shape, search, model, report, truth, fit_s, eval_s):
     return ExperimentResult(
         n=spec.node_count,
         d=model.centers.shape[0],
-        q=math.ceil(1.0 / model.radius),  # grid_from_radius's q_ceil, without its warning
+        q=cube_index.grid_from_radius(model.radius).q_ceil,
         kernel=spec.kernel_family,
         shape=float(shape),
         function=spec.function,
@@ -156,7 +155,7 @@ def _runs(spec, shapes, search):
         kernel=KernelSpec(spec.kernel_family, shapes[0]),
         subdomain_count=spec.subdomain_count,
         m_max=spec.m_max,
-        center_source=spec.center_source,
+        centers=spec.centers,
     )
     t0 = time.perf_counter()
     geometry = pu.fit_geometry(nodes, values, config, search)

@@ -133,11 +133,12 @@ def read_points(path):
                     line_no,
                     f"row has {len(fields)} columns but the file started with {arity}",
                 )
-            try:
-                nums = [float(t) for t in fields]
-            except ValueError:
-                bad = next(t for t in fields if not _is_float(t))
-                raise PointFileError(path, line_no, f"non-numeric field {bad!r}") from None
+            nums = []
+            for t in fields:
+                try:
+                    nums.append(float(t))
+                except ValueError:
+                    raise PointFileError(path, line_no, f"non-numeric field {t!r}") from None
             if not all(math.isfinite(v) for v in nums):
                 raise PointFileError(path, line_no, "non-finite value")
             x, y, z = nums[:3]
@@ -148,14 +149,6 @@ def read_points(path):
             rows.append(nums)
     data = np.array(rows, dtype=np.float64).reshape(-1, arity or 3)
     return data[:, :3], (data[:, 3] if arity == 4 else None)
-
-
-def _is_float(token):
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def load_point_source(source, what="points"):
@@ -298,7 +291,7 @@ def _experiment_spec(args):
         function=args.function or "f1",
         eval_grid_side=side,
         m_max=args.mmax,
-        center_source=args.centers,
+        centers=args.centers,
     )
 
 
@@ -338,12 +331,12 @@ def _run_fit(args):
             "nodes without values"
         )
 
-    centers = None
+    centers = args.centers
     d = args.subdomains or _default_subdomains(nodes.shape[0])
-    if args.centers not in ("halton", "grid"):
-        kind, path = parse_point_source(args.centers)
+    if centers not in ("halton", "grid"):
+        kind, path = parse_point_source(centers)
         if kind != "file":
-            raise UsageError(f"bad center source {args.centers!r}")
+            raise UsageError(f"bad center source {centers!r}")
         centers, _ = load_point_source((kind, path), "centers")
         d = centers.shape[0]
         if args.subdomains is not None and args.subdomains != d:
@@ -354,7 +347,6 @@ def _run_fit(args):
         kernel=KernelSpec(args.kernel, args.shape),
         subdomain_count=d,
         m_max=args.mmax,
-        center_source=args.centers if centers is None else "explicit",
         centers=centers,
     )
     model = pu.fit(nodes, values, config)

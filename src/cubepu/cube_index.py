@@ -24,12 +24,11 @@ neighbors.  The rounded-up count is kept alongside for benchmark reporting.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGridWarning, RadiusTooLargeError
+from .errors import RadiusTooLargeError
 from .geometry import as_point_array, ensure_in_unit_cube, require_int, squared_distances
 
 
@@ -53,8 +52,7 @@ def grid_from_radius(radius):
     q = floor(1/radius), clamped to >= 1 and nudged down if floating-point
     rounding ever left 1/q below the radius.  Every radius above 1/2 gives
     q = 1, a single cell that every query scans whole: at the paper's radius
-    sqrt(2)/cbrt(d) that is every d <= 22.  Only a radius above 1 (d <= 2),
-    which spans the whole unit cube, warns with DegenerateGridWarning.
+    sqrt(2)/cbrt(d) that is every d <= 22.  The search stays exact there.
     """
     radius = float(radius)
     if not (radius > 0.0 and math.isfinite(radius)):
@@ -63,14 +61,7 @@ def grid_from_radius(radius):
     q = max(1, int(math.floor(inv + 1e-12)))
     while q > 1 and 1.0 / q < radius:
         q -= 1
-    q_ceil = math.ceil(inv)  # never below q
-    if radius > 1.0:
-        warnings.warn(
-            f"radius {radius} spans the whole unit cube; grid degenerates to one cell",
-            DegenerateGridWarning,
-            stacklevel=2,
-        )
-    return GridParams(q=q, q_ceil=q_ceil)
+    return GridParams(q=q, q_ceil=math.ceil(inv))  # q_ceil is never below q
 
 
 def _cells0(params, pts):

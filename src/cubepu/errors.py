@@ -47,7 +47,3 @@ class SingularSystemError(InterpolationError):
         super().__init__(f"{where}: singular {size}x{size} collocation matrix")
         self.subdomain_id = subdomain_id
         self.size = size
-
-
-class DegenerateGridWarning(UserWarning):
-    """Search radius spans the whole domain; the grid degenerates to one cell."""

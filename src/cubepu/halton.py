@@ -22,8 +22,8 @@ class HaltonConfig:
 
     def __post_init__(self):
         require_int("count", self.count, 0)
-        if len(self.bases) != 3:
-            raise ValueError(f"need one base per coordinate, got {self.bases}")
+        if not hasattr(self.bases, "__len__") or len(self.bases) != 3:
+            raise ValueError(f"bases must hold one base per coordinate, got {self.bases!r}")
         for b in self.bases:
             require_int("bases", b, 2)
         for i in range(3):

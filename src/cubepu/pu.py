@@ -1,9 +1,12 @@
 """Partition-of-unity interpolation over spherical subdomains.
 
 d subdomain centers cover the unit cube with balls of radius
-sqrt(2)/cbrt(d); each ball gets a local RBF interpolant over the nodes it
-captures, and the global surface blends the local ones with inverse-distance
-(Shepard) weights restricted to the covering balls:
+sqrt(2)/cbrt(d).  `PUConfig.centers` places them: "halton" (d Halton
+points), "grid" (the whole cell-centered m^3 lattice, m = ceil(cbrt d)), or
+an array of exactly d centers, checked when the config is built.  Each ball
+gets a local RBF interpolant over the nodes it captures, and the global
+surface blends the local ones with inverse-distance (Shepard) weights
+restricted to the covering balls:
 
     I(p) = sum_j W_j(p) R_j(p),   sum_j W_j(p) = 1 wherever p is covered.
 
@@ -84,20 +87,22 @@ class PUConfig:
     kernel: KernelSpec
     subdomain_count: int
     m_max: int | None = None
-    center_source: str = "halton"  # "halton" | "grid" | "explicit"
-    centers: np.ndarray | None = None  # given exactly when center_source == "explicit"
+    # "halton", "grid", or a (subdomain_count, 3) array of the centers
+    centers: str | np.ndarray = "halton"
 
     def __post_init__(self):
         require_int("subdomain_count", self.subdomain_count, 1)
         if self.m_max is not None:
             require_int("m_max", self.m_max, 1)
-        if self.center_source not in ("halton", "grid", "explicit"):
-            raise ValueError(f"unknown center source {self.center_source!r}")
-        if self.center_source == "explicit" and self.centers is None:
-            raise ValueError("center_source='explicit' needs a centers array")
-        if self.center_source != "explicit" and self.centers is not None:
-            raise ValueError(f"a centers array needs center_source='explicit', "
-                             f"got {self.center_source!r}")
+        if isinstance(self.centers, str):
+            if self.centers not in ("halton", "grid"):
+                raise ValueError(f"unknown center source {self.centers!r}")
+        else:
+            centers = as_point_array(self.centers)
+            if centers.shape[0] != self.subdomain_count:
+                raise ValueError(
+                    f"{centers.shape[0]} centers for {self.subdomain_count} subdomains")
+            object.__setattr__(self, "centers", centers)
 
 
 @dataclass
@@ -128,20 +133,20 @@ class EvalReport:
 
 
 def make_centers(config):
-    """Center layout for a config: d Halton points in bases (7, 11, 13), the
-    whole cell-centered m^3 lattice with m = ceil(cbrt d), or the explicit
-    array given.  The grid never cuts its lattice short, since a partial
-    lattice leaves holes its radius cannot cover; a d that is not a cube
-    places more than d centers."""
+    """Center layout for a config: for "halton", d Halton points in bases
+    (7, 11, 13); for "grid", the whole cell-centered m^3 lattice with
+    m = ceil(cbrt d); for an array, the array as it is.  The grid never cuts
+    its lattice short, since a partial lattice leaves holes its radius cannot
+    cover; a d that is not a cube places more than d centers."""
     d = config.subdomain_count
-    if config.center_source == "halton":
+    if not isinstance(config.centers, str):
+        return config.centers
+    if config.centers == "halton":
         return halton.generate(halton.HaltonConfig(d, CENTER_BASES))
-    if config.center_source == "grid":
-        m = int(math.ceil(np.cbrt(float(d)) - 1e-9))
-        g = (np.arange(m) + 0.5) / m
-        ww, vv, uu = np.meshgrid(g, g, g, indexing="ij")
-        return np.column_stack([uu.ravel(), vv.ravel(), ww.ravel()])
-    return as_point_array(config.centers)
+    m = int(math.ceil(np.cbrt(float(d)) - 1e-9))
+    g = (np.arange(m) + 0.5) / m
+    ww, vv, uu = np.meshgrid(g, g, g, indexing="ij")
+    return np.column_stack([uu.ravel(), vv.ravel(), ww.ravel()])
 
 
 def _check_nodes(points, values):
@@ -180,8 +185,6 @@ def fit_geometry(points, values, config, search="cube"):
     centers = make_centers(config)
     ensure_in_unit_cube(centers, "subdomain center")
     d = centers.shape[0]
-    if config.center_source == "explicit" and d != config.subdomain_count:
-        raise ValueError(f"{d} centers for {config.subdomain_count} subdomains")
     radius = subdomain_radius(d)
     if search == "cube":
         center_index = cube_index.build(centers, cube_index.grid_from_radius(radius))

@@ -29,6 +29,7 @@ one evaluator of a solved local interpolant.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -56,6 +57,8 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}"
             )
+        if not isinstance(self.shape, numbers.Real) or isinstance(self.shape, bool):
+            raise ValueError(f"shape parameter must be a real number, got {self.shape!r}")
         if not (math.isfinite(self.shape) and self.shape > 0.0):
             raise ValueError(
                 f"shape parameter must be positive and finite, got {self.shape}"

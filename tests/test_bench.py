@@ -1,6 +1,5 @@
 import math
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from cubepu.bench import (
     sweep_shape,
 )
 from cubepu.cube_index import BruteForceIndex, grid_from_radius
-from cubepu.errors import DegenerateGridWarning, SingularSystemError
+from cubepu.errors import SingularSystemError
 
 
 # ---------------------------------------------------------------- fields
@@ -149,18 +148,13 @@ def test_run_experiment_small():
     assert res.empty_subdomains == 0
 
 
-def test_run_experiment_warns_once_and_reports_q_ceil():
-    # at d = 1 and d = 2 the radius spans the cube and the fit's grid
-    # degenerates to one cell, which it says once; q is the rounded-up count
+def test_run_experiment_reports_q_ceil():
+    # q is the fit grid's rounded-up cell count, also where the radius spans
+    # the whole cube (d <= 2)
     q = {}
     for d in (1, 2, 8, 43, 512, 4096, 32768):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            q[d] = run_experiment(ExperimentSpec(60, d, "w4", eval_grid_side=3), 0.54).q
-        assert [w.category for w in caught] == [DegenerateGridWarning] * (d <= 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGridWarning)
-            assert q[d] == grid_from_radius(pu.subdomain_radius(d)).q_ceil
+        q[d] = run_experiment(ExperimentSpec(60, d, "w4", eval_grid_side=3), 0.54).q
+        assert q[d] == grid_from_radius(pu.subdomain_radius(d)).q_ceil
     assert (q[1], q[512], q[32768]) == (1, 6, 23)
 
 
@@ -180,7 +174,7 @@ def test_run_experiment_counts_empty_subdomains(monkeypatch):
 
 def test_run_experiment_reports_centers_placed():
     # a grid of d = 5 places the whole 2^3 lattice
-    res = run_experiment(replace(SMALL, subdomain_count=5, center_source="grid"), 0.54)
+    res = run_experiment(replace(SMALL, subdomain_count=5, centers="grid"), 0.54)
     assert res.d == 8 and res.uncovered_points == 0
 
 

@@ -26,7 +26,6 @@ from cubepu.cli import (
     render_values,
 )
 from cubepu.errors import (
-    DegenerateGridWarning,
     PointFileError,
     SingularSystemError,
     UsageError,
@@ -77,7 +76,7 @@ def test_parse_args_sweep_range():
     args = parse_args(["sweep", "--nodes", "halton:343", "--kernel", "w4",
                        "--range", "0.1:1.9:10", "--centers", "grid"])
     assert args.command == "sweep"
-    assert args.spec == ExperimentSpec(343, 43, "w4", center_source="grid")
+    assert args.spec == ExperimentSpec(343, 43, "w4", centers="grid")
     assert np.array_equal(args.shapes, np.linspace(0.1, 1.9, 10))
     assert not hasattr(args, "shape")
 
@@ -113,12 +112,17 @@ def test_parse_args_usage_errors(argv):
         parse_args(argv)
 
 
+def _readme_blocks(lang="[a-z]*"):
+    """The contents of the README's code blocks in language `lang`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"```{lang}\n(.*?)```", readme, flags=re.S)
+
+
 def _readme_commands():
     """Every `cubepu ...` command line in the README's code blocks, with
     backslash-continued lines joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = []
-    for block in re.findall(r"```[a-z]*\n(.*?)```", readme, flags=re.S):
+    for block in _readme_blocks():
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("cubepu "):
                 commands.append(shlex.split(line, comments=True)[1:])
@@ -130,6 +134,15 @@ def test_readme_commands_parse():
     assert {c[0] for c in commands} == {"fit", "bench", "sweep", "compare-search"}
     for argv in commands:
         parse_args(argv)
+
+
+def test_readme_python_blocks_run(capsys):
+    # the library examples run as written against the current API
+    blocks = _readme_blocks("python")
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- point files
@@ -326,9 +339,8 @@ def test_main_fit_explicit_centers(tmp_path, capsys):
     centers = tmp_path / "centers.txt"
     centers.write_text("0.3 0.3 0.3\n0.7 0.7 0.7\n")
     # two balls of radius 1.12 span the cube: the grid is one cell
-    with pytest.warns(DegenerateGridWarning):
-        code = main(["fit", "--nodes", "halton:150", "--function", "f1",
-                     "--centers", f"file:{centers}", "--eval", "grid:3"])
+    code = main(["fit", "--nodes", "halton:150", "--function", "f1",
+                 "--centers", f"file:{centers}", "--eval", "grid:3"])
     assert code == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 28
     # count mismatch is a usage error

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +14,7 @@ from cubepu.cube_index import (
     build,
     grid_from_radius,
 )
-from cubepu.errors import (
-    DegenerateGridWarning,
-    OutOfDomainError,
-    RadiusTooLargeError,
-)
+from cubepu.errors import OutOfDomainError, RadiusTooLargeError
 from cubepu.halton import HaltonConfig, generate
 
 
@@ -56,9 +51,8 @@ def test_grid_from_radius_exact_inverse():
     assert p.q == 5 and p.q_ceil == 5
 
 
-def test_grid_from_radius_degenerate_warns():
-    with pytest.warns(DegenerateGridWarning):
-        p = grid_from_radius(1.4143)
+def test_grid_from_radius_degenerate():
+    p = grid_from_radius(1.4143)
     assert p.q == 1 and p.cube_side == 1.0
 
 
@@ -297,10 +291,7 @@ _point = st.tuples(_coord, _coord, _coord)
 def _engines(pts, radius):
     """Both search engines over pts, the cube one sized for `radius`; a
     radius above 1 gives the one-cell grid."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGridWarning)
-        params = grid_from_radius(radius)
-    return build(pts, params), brute_force_index(pts)
+    return build(pts, grid_from_radius(radius)), brute_force_index(pts)
 
 
 def _check_pairs(index, queries, radius):

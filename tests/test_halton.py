@@ -59,7 +59,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HaltonConfig(10, bases=(2, 3))
     # a base that is not an integer is refused like every other bad field
-    for bases in ((2, 3, 5.0), (2, 3, "5")):
+    for bases in ((2, 3, 5.0), (2, 3, "5"), 5):
         with pytest.raises(ValueError, match="bases"):
             HaltonConfig(3, bases=bases)
     # the sequence always starts at index 1

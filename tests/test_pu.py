@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from cubepu import cube_index, pu
 from cubepu.bench import eval_grid, f1
-from cubepu.errors import (
-    DegenerateGridWarning,
-    EmptySubdomainError,
-    OutOfDomainError,
-)
+from cubepu.errors import EmptySubdomainError, OutOfDomainError
 from cubepu.halton import HaltonConfig, generate
 from cubepu.pu import (
     PUConfig,
@@ -109,20 +105,20 @@ def test_make_centers_halton_uses_distinct_bases():
 
 
 def test_make_centers_grid_lattice():
-    c = make_centers(_config(d=8, center_source="grid"))
+    c = make_centers(_config(d=8, centers="grid"))
     assert c.shape == (8, 3)
     assert np.array_equal(c[0], [0.25, 0.25, 0.25])
     assert np.array_equal(c[1], [0.75, 0.25, 0.25])
     assert np.array_equal(c[7], [0.75, 0.75, 0.75])
     # a count that is not a cube places the whole lattice of the next cube
-    assert make_centers(_config(d=5, center_source="grid")).shape == (8, 3)
+    assert make_centers(_config(d=5, centers="grid")).shape == (8, 3)
 
 
 @pytest.mark.parametrize("d,placed", [(500, 512), (614, 729)])
 def test_grid_centers_cover_the_lattice(d, placed):
     pts = generate(HaltonConfig(4913))
     model = fit(pts, np.sin(pts.sum(axis=1)),
-                _config(family="w4", shape=0.54, d=d, center_source="grid"))
+                _config(family="w4", shape=0.54, d=d, centers="grid"))
     m = round(placed ** (1 / 3))
     assert model.centers.shape == (placed, 3) and model.offsets.shape == (placed + 1,)
     assert model.radius == subdomain_radius(placed)
@@ -132,17 +128,17 @@ def test_grid_centers_cover_the_lattice(d, placed):
 
 def test_make_centers_explicit_passthrough():
     pts = np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]])
-    c = make_centers(_config(d=2, center_source="explicit", centers=pts))
+    c = make_centers(_config(d=2, centers=pts))
     assert np.array_equal(c, pts)
-    with pytest.raises(ValueError):
-        _config(d=2, center_source="explicit")  # centers missing
+    # the array is coerced once, when the config is built
+    listed = _config(d=2, centers=pts.tolist())
+    assert isinstance(listed.centers, np.ndarray) and make_centers(listed) is listed.centers
 
 
 # ---------------------------------------------------------------- fit
 
 def test_fit_single_node_single_subdomain():
-    with pytest.warns(DegenerateGridWarning):
-        model = fit([(0.5, 0.5, 0.5)], [4.2], _config(d=1))
+    model = fit([(0.5, 0.5, 0.5)], [4.2], _config(d=1))
     assert model.offsets.tolist() == [0, 1]
     assert np.array_equal(model.node_ids, [0])
     # phi(0) = 3 for m4: single-site coefficient is f / phi(0)
@@ -220,7 +216,7 @@ def test_fit_empty_subdomain_raises():
     for search in pu.SEARCH_MODES:
         with pytest.raises(EmptySubdomainError) as exc:
             fit(nodes, np.ones(50),
-                _config(d=8, center_source="explicit", centers=centers), search=search)
+                _config(d=8, centers=centers), search=search)
         assert exc.value.subdomain_count == 8
         assert "all 8 subdomains" in str(exc.value)
 
@@ -275,18 +271,15 @@ def test_fit_explicit_centers_validated():
     vals = np.ones(100)
     bad = np.array([[0.5, 0.5, 0.5], [1.2, 0.5, 0.5]])
     with pytest.raises(OutOfDomainError):
-        fit(pts, vals, _config(d=2, center_source="explicit", centers=bad),
-            search="no_cube")
-    with pytest.raises(ValueError, match="centers"):
-        fit(pts, vals,
-            _config(d=3, center_source="explicit",
-                    centers=np.array([[0.5, 0.5, 0.5]])),
-            search="no_cube")
-    # a centers array under another source would be ignored without a word
-    for source in ("halton", "grid"):
-        with pytest.raises(ValueError, match="center_source='explicit'"):
-            PUConfig(KernelSpec("w4", 0.54), 1, center_source=source,
-                     centers=[[0.5, 0.5, 0.5]])
+        fit(pts, vals, _config(d=2, centers=bad), search="no_cube")
+    # the row count must equal d, checked when the config is built
+    with pytest.raises(ValueError, match="1 centers for 3 subdomains"):
+        PUConfig(KernelSpec("w4", 0.54), 3, centers=[[0.5, 0.5, 0.5]])
+    for source in ("explicit", "Halton", ""):
+        with pytest.raises(ValueError, match="unknown center source"):
+            PUConfig(KernelSpec("w4", 0.54), 1, centers=source)
+    with pytest.raises(ValueError, match="3-vector"):
+        PUConfig(KernelSpec("w4", 0.54), 1, centers=[0.5, 0.5])
 
 
 def test_refit_kernel_reuses_geometry(nodes_1000):
@@ -345,7 +338,7 @@ def test_shepard_weights_equidistant_pair():
     pts = generate(HaltonConfig(100))
     centers = np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]])
     model = fit(pts, np.ones(100),
-                _config(d=2, center_source="explicit", centers=centers),
+                _config(d=2, centers=centers),
                 search="no_cube")
     ids, w, covered = _blend1(model, (0.5, 0.5, 0.5))
     assert covered and np.array_equal(ids, [0, 1])
@@ -356,14 +349,14 @@ def test_shepard_weights_coincident_center():
     pts = generate(HaltonConfig(100))
     centers = np.array([[0.3, 0.3, 0.3], [0.6, 0.6, 0.6], [0.9, 0.9, 0.9]])
     model = fit(pts, np.ones(100),
-                _config(d=3, center_source="explicit", centers=centers),
+                _config(d=3, centers=centers),
                 search="no_cube")
     ids, w, covered = _blend1(model, (0.6, 0.6, 0.6))
     assert covered and np.array_equal(ids, [1]) and np.array_equal(w, [1.0])
     # two coincident centers split the weight; the other covering ball drops out
     centers2 = np.array([[0.4, 0.4, 0.4], [0.4, 0.4, 0.4], [0.8, 0.8, 0.8]])
     model2 = fit(pts, np.ones(100),
-                 _config(d=3, center_source="explicit", centers=centers2),
+                 _config(d=3, centers=centers2),
                  search="no_cube")
     assert model2.center_index.query((0.4, 0.4, 0.4), model2.radius).size == 3
     ids2, w2, covered2 = _blend1(model2, (0.4, 0.4, 0.4))
@@ -510,7 +503,7 @@ def test_evaluate_uncovered_fallback():
     nodes = rng.random((300, 3))
     vals = nodes.sum(axis=1)
     centers = 0.05 + 0.1 * rng.random((8, 3))   # all in one corner
-    model = fit(nodes, vals, _config(d=8, center_source="explicit", centers=centers))
+    model = fit(nodes, vals, _config(d=8, centers=centers))
     far = np.array([[1.0, 1.0, 1.0]])
     report = evaluate_report(model, far)
     assert report.uncovered == 1
@@ -535,7 +528,7 @@ def test_blend_weights_uncovered_tie_takes_lower_id():
     pts = generate(HaltonConfig(100))
     centers = np.array([[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.05, 0.05, 0.05]])
     model = fit(pts, np.ones(100),
-                _config(d=3, center_source="explicit", centers=centers),
+                _config(d=3, centers=centers),
                 search="no_cube")
     ids, w, covered = _blend1(model, (0.9, 0.9, 0.9))
     assert not covered and np.array_equal(ids, [0]) and np.array_equal(w, [1.0])
@@ -545,7 +538,7 @@ def test_evaluate_coincident_center_value():
     pts = generate(HaltonConfig(150))
     vals = pts[:, 0] ** 2
     centers = np.array([[0.3, 0.3, 0.3], [0.7, 0.7, 0.7]])
-    model = fit(pts, vals, _config(d=2, center_source="explicit", centers=centers),
+    model = fit(pts, vals, _config(d=2, centers=centers),
                 search="no_cube")
     p = np.array([0.3, 0.3, 0.3])
     assert evaluate(model, p) == _local(model, 0, p)

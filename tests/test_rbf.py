@@ -114,6 +114,11 @@ def test_kernel_spec_validation():
     for shape in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             KernelSpec("g", shape)
+    # a shape that is not a real number is refused, bool included
+    for shape in ("1", None, True):
+        with pytest.raises(ValueError, match="shape"):
+            KernelSpec("g", shape)
+    assert KernelSpec("g", np.float64(2.7)).shape == 2.7
 
 
 # ---------------------------------------------------------------- assembly
