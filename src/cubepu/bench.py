@@ -96,6 +96,8 @@ class ExperimentSpec:
             )
         require_int("node_count", self.node_count, 1)
         require_int("eval_grid_side", self.eval_grid_side, 2)
+        # PUConfig and KernelSpec check the rest; any positive shape will do
+        _pu_config(self, 1.0)
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,11 @@ class ExperimentResult:
     uncovered_points: int
     illconditioned_solves: int
     empty_subdomains: int
+
+
+def _pu_config(spec, shape):
+    return pu.PUConfig(KernelSpec(spec.kernel_family, shape), spec.subdomain_count,
+                       spec.m_max, spec.centers)
 
 
 def _nodes_and_values(spec):
@@ -151,14 +158,8 @@ def _runs(spec, shapes, search):
     nodes, values = _nodes_and_values(spec)
     grid = eval_grid(spec.eval_grid_side)
     truth = TEST_FUNCTIONS[spec.function](grid)
-    config = pu.PUConfig(
-        kernel=KernelSpec(spec.kernel_family, shapes[0]),
-        subdomain_count=spec.subdomain_count,
-        m_max=spec.m_max,
-        centers=spec.centers,
-    )
     t0 = time.perf_counter()
-    geometry = pu.fit_geometry(nodes, values, config, search)
+    geometry = pu.fit_geometry(nodes, values, _pu_config(spec, shapes[0]), search)
     capture_s = time.perf_counter() - t0
     runs = []
     for s in shapes:

@@ -87,8 +87,9 @@ class PUConfig:
     kernel: KernelSpec
     subdomain_count: int
     m_max: int | None = None
-    # "halton", "grid", or a (subdomain_count, 3) array of the centers
-    centers: str | np.ndarray = "halton"
+    # "halton", "grid", or the subdomain_count centers, kept as a tuple of
+    # (x, y, z) rows so that configs compare and hash
+    centers: str | tuple = "halton"
 
     def __post_init__(self):
         require_int("subdomain_count", self.subdomain_count, 1)
@@ -102,7 +103,7 @@ class PUConfig:
             if centers.shape[0] != self.subdomain_count:
                 raise ValueError(
                     f"{centers.shape[0]} centers for {self.subdomain_count} subdomains")
-            object.__setattr__(self, "centers", centers)
+            object.__setattr__(self, "centers", tuple(map(tuple, centers.tolist())))
 
 
 @dataclass
@@ -135,12 +136,12 @@ class EvalReport:
 def make_centers(config):
     """Center layout for a config: for "halton", d Halton points in bases
     (7, 11, 13); for "grid", the whole cell-centered m^3 lattice with
-    m = ceil(cbrt d); for an array, the array as it is.  The grid never cuts
-    its lattice short, since a partial lattice leaves holes its radius cannot
-    cover; a d that is not a cube places more than d centers."""
+    m = ceil(cbrt d); for given centers, their (d, 3) array.  The grid never
+    cuts its lattice short, since a partial lattice leaves holes its radius
+    cannot cover; a d that is not a cube places more than d centers."""
     d = config.subdomain_count
     if not isinstance(config.centers, str):
-        return config.centers
+        return np.array(config.centers)
     if config.centers == "halton":
         return halton.generate(halton.HaltonConfig(d, CENTER_BASES))
     m = int(math.ceil(np.cbrt(float(d)) - 1e-9))

@@ -19,10 +19,9 @@ times; g and m4 are written as above.
 Local systems solve phi(||x_i - x_k||) c = f with a Cholesky factorization
 first (every family is positive definite, so symmetry is worth exploiting)
 and a pivoted LU as the fallback when rounding has pushed a nearly singular
-matrix off the cone.  One step of iterative refinement with the saved factor
-tightens the residual at O(m^2) extra cost.  The condition estimate reuses
-the factorization for a LAPACK 1-norm reciprocal-condition estimate: a cheap
-diagnostic for flagging bad systems, not a guarantee.
+matrix off the cone; each route factors once and solves once.  A LAPACK
+1-norm reciprocal-condition estimate reuses the factor: a cheap diagnostic
+for flagging bad systems, not a guarantee.
 
 Sites, values and coefficients travel as plain arrays; `local_values` is the
 one evaluator of a solved local interpolant.
@@ -114,7 +113,7 @@ def solve_local(points, values, kernel, subdomain_id=None):
     try:
         fac = cho_factor(phi, lower=False, check_finite=False)
         rcond, _ = dpocon(fac[0], anorm)  # uplo defaults to the upper factor
-        solve = lambda rhs: cho_solve(fac, rhs, check_finite=False)
+        coeffs = cho_solve(fac, values, check_finite=False)
     except LinAlgError:
         with warnings.catch_warnings():
             # a zero pivot becomes our typed error below; the warning is noise
@@ -123,10 +122,8 @@ def solve_local(points, values, kernel, subdomain_id=None):
         if np.abs(np.diag(lu)).min() == 0.0:
             raise SingularSystemError(subdomain_id, m) from None
         rcond, _ = dgecon(lu, anorm)  # 1-norm
-        solve = lambda rhs: lu_solve((lu, piv), rhs, check_finite=False)
+        coeffs = lu_solve((lu, piv), values, check_finite=False)
     cond = float(1.0 / rcond) if rcond > 0.0 else float("inf")
-    coeffs = solve(values)
-    coeffs = coeffs + solve(values - phi @ coeffs)  # one refinement step
     if not np.isfinite(coeffs).all():
         raise SingularSystemError(subdomain_id, m)
     return LocalCoefficients(coefficients=coeffs, condition_estimate=cond)

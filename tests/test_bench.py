@@ -124,6 +124,14 @@ def test_experiment_spec_validation():
     assert run_experiment(spec, 0.54).n == 343
     with pytest.raises(ValueError, match="at least one shape"):
         sweep_shape(ExperimentSpec(100, 10, "g"), [])
+    # the kernel family and the PU settings are checked by their own types
+    # when the spec is built, before any run generates nodes
+    for kw, message in ((dict(centers="explicit"), "unknown center source"),
+                        (dict(subdomain_count=0), "subdomain_count must be"),
+                        (dict(kernel_family="x"), "unknown kernel family"),
+                        (dict(m_max=0), "m_max must be")):
+        with pytest.raises(ValueError, match=message):
+            replace(SMALL, **kw)
 
 
 # ---------------------------------------------------------------- runs
@@ -176,6 +184,13 @@ def test_run_experiment_reports_centers_placed():
     # a grid of d = 5 places the whole 2^3 lattice
     res = run_experiment(replace(SMALL, subdomain_count=5, centers="grid"), 0.54)
     assert res.d == 8 and res.uncovered_points == 0
+
+
+def test_run_experiment_flat_gaussian():
+    # g 1.0 at 4913/512 is far flatter than the best shape (about 2.5), and
+    # its balls reach condition estimates of 8e21; a refinement step with
+    # the same factor made the 11^3 RMSE 7.16
+    assert run_experiment(ExperimentSpec(4913, 512, "g"), 1.0).rmse < 1e-2
 
 
 def test_run_experiment_deterministic():

@@ -130,9 +130,21 @@ def test_make_centers_explicit_passthrough():
     pts = np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]])
     c = make_centers(_config(d=2, centers=pts))
     assert np.array_equal(c, pts)
-    # the array is coerced once, when the config is built
+    # the centers are coerced once, when the config is built, to a tuple of rows
     listed = _config(d=2, centers=pts.tolist())
-    assert isinstance(listed.centers, np.ndarray) and make_centers(listed) is listed.centers
+    assert listed.centers == ((0.2, 0.2, 0.2), (0.8, 0.8, 0.8))
+    assert np.array_equal(make_centers(listed), pts)
+
+
+def test_config_with_centers_compares_and_hashes():
+    c = generate(HaltonConfig(8))
+    config = _config(d=8, centers=c)
+    same = _config(d=8, centers=c.copy())
+    assert config == same and hash(config) == hash(same)
+    moved = c.copy()
+    moved[3, 1] += 1e-12
+    assert config != _config(d=8, centers=moved)
+    assert config != _config(d=8) and len({config, same, _config(d=8)}) == 2
 
 
 # ---------------------------------------------------------------- fit
@@ -320,6 +332,23 @@ def test_refit_kernel_reuses_geometry(nodes_1000):
     direct = fit(pts, vals, _config("w4", 0.7))
     assert np.array_equal(solved.coefficients, direct.coefficients)
     assert np.array_equal(solved.condition, direct.condition, equal_nan=True)
+
+
+def test_flat_gaussian_balls_stay_near_the_field():
+    # grid centers at 35937/4096 with g 2.7 give ball 309 (112 nodes) a
+    # condition estimate near 5e20; one factor and one solve keep its local
+    # interpolant within 2e-3 of f1 at this point, where a fixed-precision
+    # refinement step with the same factor put it off by 1.9
+    nodes = generate(HaltonConfig(35937))
+    kernel = KernelSpec("g", 2.7)
+    geo = fit_geometry(nodes, f1(nodes), _config("g", 2.7, d=4096, centers="grid"))
+    p = np.array([[0.4, 0.275, 0.125]])
+    _, ids = geo.center_index.query_many(p, geo.radius)
+    assert 309 in ids and ids.size == 12
+    for j in ids:
+        sites = nodes[geo.node_ids[_ball(geo, j)]]
+        local = solve_local(sites, f1(sites), kernel, subdomain_id=j)
+        assert abs(local_values(kernel, sites, local.coefficients, p)[0] - f1(p[0])) < 1e-2
 
 
 # ---------------------------------------------------------------- weights
