@@ -86,7 +86,7 @@ class ExperimentSpec:
     function: str = "f1"
     eval_grid_side: int = 11
     m_max: int | None = None
-    centers: str = "halton"
+    centers: str | tuple = "halton"
 
     def __post_init__(self):
         if self.function not in TEST_FUNCTIONS:
@@ -96,8 +96,9 @@ class ExperimentSpec:
             )
         require_int("node_count", self.node_count, 1)
         require_int("eval_grid_side", self.eval_grid_side, 2)
-        # PUConfig and KernelSpec check the rest; any positive shape will do
-        _pu_config(self, 1.0)
+        # PUConfig and KernelSpec check the rest, any positive shape will do;
+        # given centers are kept as PUConfig keeps them, a tuple of rows
+        object.__setattr__(self, "centers", _pu_config(self, 1.0).centers)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ comma-separated, `x y z` or `x y z value`, with `#` comments.  Results go to
 stdout or --out as CSV (default) or JSON; floats are emitted with 17
 significant digits so a write/read round trip is exact.
 
-`parse_args` checks the arguments and returns argparse's namespace with the
-library inputs added to it; each subcommand's `_run_*` function reads that
-namespace directly, with no request objects in between.  The experiment
-commands hand the library a setup spec, and the kernel shape (or, for sweep,
-the array of shapes) as an argument of its own.  Every command fits with the
-cube search; compare-search also runs the plain scan and checks that the two
-engines agree bit for bit.
+The CLI parses source strings, calls the library and prints its tables
+through one CSV writer or as JSON.  The config types (`KernelSpec`,
+`PUConfig`, `ExperimentSpec`) check every value; one they reject is a usage
+error.  `parse_args` returns argparse's namespace with the library inputs
+added to it; each subcommand's `_run_*` function reads that namespace
+directly.  The experiment commands hand the library a setup spec, and the
+kernel shape (or, for sweep, the array of shapes) as an argument of its own.
+Every command fits with the cube search; compare-search also runs the plain
+scan and checks that the two engines agree bit for bit.
 
 Exit codes: 0 success, 1 usage, 2 input data, 3 numerical failure.
 """
@@ -172,6 +174,10 @@ def _num(v):
     return str(v)
 
 
+def _csv(header, rows):
+    return "\n".join([",".join(header), *(",".join(map(_num, r)) for r in rows)]) + "\n"
+
+
 def _result_dict(res):
     # ExperimentResult's fields are RESULT_COLUMNS in order, holding plain
     # int, float, str or None values
@@ -184,10 +190,7 @@ def render_results(results, fmt):
     if fmt == "json":
         payload = [_result_dict(r) for r in results]
         return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
-    lines = [",".join(RESULT_COLUMNS)]
-    for r in results:
-        lines.append(",".join(_num(v) for v in astuple(r)))
-    return "\n".join(lines) + "\n"
+    return _csv(RESULT_COLUMNS, map(astuple, results))
 
 
 def render_sweep(sweep, fmt):
@@ -200,21 +203,14 @@ def render_sweep(sweep, fmt):
             },
             indent=2,
         ) + "\n"
-    lines = ["shape,rmse"]
-    for s, r in sweep.points:
-        lines.append(f"{_num(s)},{_num(r)}")
-    return "\n".join(lines) + "\n"
+    return _csv(("shape", "rmse"), sweep.points)
 
 
 def render_values(points, values, fmt):
+    rows = np.column_stack([points, values]).tolist()
     if fmt == "json":
-        rows = [[float(p[0]), float(p[1]), float(p[2]), float(v)]
-                for p, v in zip(points, values)]
         return json.dumps(rows) + "\n"
-    lines = ["x,y,z,value"]
-    for p, v in zip(points, values):
-        lines.append(f"{_num(float(p[0]))},{_num(float(p[1]))},{_num(float(p[2]))},{_num(float(v))}")
-    return "\n".join(lines) + "\n"
+    return _csv(("x", "y", "z", "value"), rows)
 
 
 def write_text(text, out):
@@ -271,6 +267,14 @@ def _default_subdomains(n):
     return max(1, round(n / 8))
 
 
+def _build(config_type, *fields):
+    """Construct a config type; a value that it rejects is a usage error."""
+    try:
+        return config_type(*fields)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def _experiment_spec(args):
     kind, n = parse_point_source(args.nodes)
     if kind != "halton":
@@ -280,39 +284,26 @@ def _experiment_spec(args):
     kind, side = parse_point_source(args.eval_src)
     if kind != "grid":
         raise UsageError(f"{args.command} evaluates on a lattice; use --eval grid:<side>")
-    if args.centers not in ("halton", "grid"):
-        raise UsageError(f"{args.command} supports --centers halton or grid")
-    if args.kernel is None:
-        raise UsageError("--kernel is required here")
-    return bench.ExperimentSpec(
-        node_count=n,
-        subdomain_count=args.subdomains or _default_subdomains(n),
-        kernel_family=args.kernel,
-        function=args.function or "f1",
-        eval_grid_side=side,
-        m_max=args.mmax,
-        centers=args.centers,
-    )
+    d = _default_subdomains(n) if args.subdomains is None else args.subdomains
+    return _build(bench.ExperimentSpec, n, d, args.kernel, args.function or "f1",
+                  side, args.mmax, args.centers)
 
 
 def parse_args(argv=None):
-    """Check argv and return argparse's namespace; for bench, sweep and
-    compare-search with the `bench.ExperimentSpec` added as `spec`, and for
-    sweep also the array of shape values as `shapes`."""
+    """Parse argv and return argparse's namespace; for fit, bench and
+    compare-search with the `KernelSpec` added as `kernel_spec`, for bench,
+    sweep and compare-search with the `bench.ExperimentSpec` added as `spec`,
+    and for sweep also the array of shape values as `shapes`."""
     args = build_parser().parse_args(argv)
-    if args.mmax is not None and args.mmax < 1:
-        raise UsageError(f"--mmax must be >= 1, got {args.mmax}")
-    if args.subdomains is not None and args.subdomains < 1:
-        raise UsageError(f"--subdomains must be >= 1, got {args.subdomains}")
     if args.command == "sweep":
         args.shapes = np.linspace(*parse_shape_range(args.shape_range))
-    elif args.shape is None or args.shape <= 0:
-        raise UsageError(f"--shape must be a positive number, got {args.shape}")
     if args.command == "fit":
         # a malformed source is a usage error even before any file is read
         parse_point_source(args.nodes)
         parse_point_source(args.eval_src)
-    else:
+    if args.command != "sweep":
+        args.kernel_spec = _build(KernelSpec, args.kernel, args.shape)
+    if args.command != "fit":
         args.spec = _experiment_spec(args)
     return args
 
@@ -332,23 +323,16 @@ def _run_fit(args):
         )
 
     centers = args.centers
-    d = args.subdomains or _default_subdomains(nodes.shape[0])
+    d = _default_subdomains(nodes.shape[0])
     if centers not in ("halton", "grid"):
         kind, path = parse_point_source(centers)
         if kind != "file":
             raise UsageError(f"bad center source {centers!r}")
         centers, _ = load_point_source((kind, path), "centers")
         d = centers.shape[0]
-        if args.subdomains is not None and args.subdomains != d:
-            raise UsageError(
-                f"--subdomains {args.subdomains} does not match {d} centers in {path}"
-            )
-    config = pu.PUConfig(
-        kernel=KernelSpec(args.kernel, args.shape),
-        subdomain_count=d,
-        m_max=args.mmax,
-        centers=centers,
-    )
+    if args.subdomains is not None:
+        d = args.subdomains
+    config = _build(pu.PUConfig, args.kernel_spec, d, args.mmax, centers)
     model = pu.fit(nodes, values, config)
     eval_pts, _ = load_point_source(parse_point_source(args.eval_src), "evaluation points")
     report = pu.evaluate_report(model, eval_pts)

@@ -3,8 +3,8 @@
 d subdomain centers cover the unit cube with balls of radius
 sqrt(2)/cbrt(d).  `PUConfig.centers` places them: "halton" (d Halton
 points), "grid" (the whole cell-centered m^3 lattice, m = ceil(cbrt d)), or
-an array of exactly d centers, checked when the config is built.  Each ball
-gets a local RBF interpolant over the nodes it captures, and the global
+exactly d centers in the unit cube, checked when the config is built.  Each
+ball gets a local RBF interpolant over the nodes it captures, and the global
 surface blends the local ones with inverse-distance (Shepard) weights
 restricted to the covering balls:
 
@@ -99,7 +99,7 @@ class PUConfig:
             if self.centers not in ("halton", "grid"):
                 raise ValueError(f"unknown center source {self.centers!r}")
         else:
-            centers = as_point_array(self.centers)
+            centers = ensure_in_unit_cube(as_point_array(self.centers), "subdomain center")
             if centers.shape[0] != self.subdomain_count:
                 raise ValueError(
                     f"{centers.shape[0]} centers for {self.subdomain_count} subdomains")
@@ -184,7 +184,6 @@ def fit_geometry(points, values, config, search="cube"):
         raise ValueError(f"search must be one of {SEARCH_MODES}, got {search!r}")
     pts, vals = _check_nodes(points, values)
     centers = make_centers(config)
-    ensure_in_unit_cube(centers, "subdomain center")
     d = centers.shape[0]
     radius = subdomain_radius(d)
     if search == "cube":

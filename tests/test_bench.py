@@ -20,6 +20,7 @@ from cubepu.bench import (
 )
 from cubepu.cube_index import BruteForceIndex, grid_from_radius
 from cubepu.errors import SingularSystemError
+from cubepu.rbf import KernelSpec
 
 
 # ---------------------------------------------------------------- fields
@@ -132,6 +133,20 @@ def test_experiment_spec_validation():
                         (dict(m_max=0), "m_max must be")):
         with pytest.raises(ValueError, match=message):
             replace(SMALL, **kw)
+
+
+def test_experiment_spec_given_centers_compare_and_hash():
+    # given centers are kept as PUConfig keeps them, a tuple of rows, so two
+    # specs with equal arrays compare and hash equal; a run places exactly
+    # those centers
+    grid = replace(SMALL, subdomain_count=8, centers="grid")
+    centers = pu.make_centers(pu.PUConfig(KernelSpec("w4", 0.54), 8, centers="grid"))
+    spec = replace(grid, centers=centers)
+    twin = replace(grid, centers=centers.copy())
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec.centers == tuple(map(tuple, centers.tolist()))
+    a, b = run_experiment(spec, 0.54), run_experiment(grid, 0.54)
+    assert (a.d, a.rmse, a.max_abs_error) == (b.d, b.rmse, b.max_abs_error)
 
 
 # ---------------------------------------------------------------- runs

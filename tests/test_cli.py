@@ -4,13 +4,12 @@ import re
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cubepu import pu
+from cubepu import bench, cli, pu
 from cubepu.bench import ExperimentResult, f1, run_experiment, ExperimentSpec
 from cubepu.cli import (
     DEFAULT_KERNEL,
@@ -209,13 +208,13 @@ def _result(rmse=1.234e-5):
 def test_render_results_csv_round_trips():
     ugly = 0.1 + 0.2  # not representable; 17 digits must survive
     text = render_results(_result(rmse=ugly), "csv")
-    lines = text.strip().split("\n")
-    assert lines[0] == ",".join(RESULT_COLUMNS)
-    fields = lines[1].split(",")
-    assert fields[0] == "343" and fields[3] == "w4" and fields[7] == "cube"
-    assert fields[6] == ""  # m_max None renders empty
-    assert float(fields[8]) == ugly  # bitwise round trip through .17g
-    assert fields[13] == "5"
+    # m_max None renders empty; floats take 17 digits, 0.01 stays short
+    assert text == (
+        ",".join(RESULT_COLUMNS) + "\n"
+        "343,43,3,w4,0.54000000000000004,f1,,cube,0.30000000000000004,"
+        "0.90000000000000013,0.01,0.002,0.012,5,0,0\n"
+    )
+    assert float(text.split("\n")[1].split(",")[8]) == ugly  # bitwise round trip
 
 
 # the ExperimentResult field each output column renders
@@ -254,22 +253,30 @@ def test_render_sweep():
         points = ((1.0, 0.25), (2.0, float("inf")))
         best_shape, best_rmse = 1.0, 0.25
 
-    csv = render_sweep(S, "csv").strip().split("\n")
-    assert csv[0] == "shape,rmse"
-    assert csv[1] == "1,0.25"
-    assert csv[2] == "2,inf"
-    js = json.loads(render_sweep(S, "json"))
-    assert js["best_shape"] == 1.0
-    assert js["curve"][1] == [2.0, float("inf")] or js["curve"][1][1] == float("inf")
+    assert render_sweep(S, "csv") == "shape,rmse\n1,0.25\n2,inf\n"
+    assert render_sweep(S, "json") == (
+        '{\n  "curve": [\n    [\n      1.0,\n      0.25\n    ],\n'
+        '    [\n      2.0,\n      Infinity\n    ]\n  ],\n'
+        '  "best_shape": 1.0,\n  "best_rmse": 0.25\n}\n'
+    )
 
 
 def test_render_values_round_trips():
-    pts = np.array([[0.1, 0.2, 0.3]])
-    vals = np.array([1.0 / 3.0])
-    lines = render_values(pts, vals, "csv").strip().split("\n")
-    assert lines[0] == "x,y,z,value"
-    got = [float(t) for t in lines[1].split(",")]
-    assert got == [0.1, 0.2, 0.3, 1.0 / 3.0]
+    pts = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 0.5]])
+    vals = np.array([1.0 / 3.0, 0.1 + 0.2])
+    csv = render_values(pts, vals, "csv")
+    assert csv == (
+        "x,y,z,value\n"
+        "0.10000000000000001,0.20000000000000001,0.29999999999999999,"
+        "0.33333333333333331\n"
+        "1,0,0.5,0.30000000000000004\n"
+    )
+    got = [[float(t) for t in line.split(",")] for line in csv.split("\n")[1:-1]]
+    assert got == [[0.1, 0.2, 0.3, 1.0 / 3.0], [1.0, 0.0, 0.5, 0.1 + 0.2]]
+    assert render_values(pts, vals, "json") == (
+        "[[0.1, 0.2, 0.3, 0.3333333333333333], "
+        "[1.0, 0.0, 0.5, 0.30000000000000004]]\n"
+    )
 
 
 # ---------------------------------------------------------------- main()
@@ -343,11 +350,6 @@ def test_main_fit_explicit_centers(tmp_path, capsys):
                  "--centers", f"file:{centers}", "--eval", "grid:3"])
     assert code == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 28
-    # count mismatch is a usage error
-    code = main(["fit", "--nodes", "halton:150", "--function", "f1",
-                 "--centers", f"file:{centers}", "--subdomains", "3",
-                 "--eval", "grid:3"])
-    assert code == 1
 
 
 def test_main_fit_missing_function_is_usage_error(tmp_path, capsys):
@@ -423,16 +425,42 @@ def test_main_fit_drops_empty_subdomains(tmp_path, capsys):
     assert re.search(r"warning: \d+ subdomains contain no nodes", captured.err)
 
 
-def test_main_non_finite_shape_is_input_error(capsys):
-    # an infinite shape passes the parser's positivity check; the kernel
-    # rejects it before any solve can warn
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(["fit", "--nodes", "halton:343", "--function", "f1",
-                     "--shape", "inf", "--eval", "grid:2"])
-    assert code == 2
+EXPERIMENT = ["--nodes", "halton:343", "--subdomains", "43", "--eval", "grid:5"]
+FIT = ["fit", "--nodes", "halton:343", "--function", "f1", "--eval", "grid:2"]
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    *[pytest.param([cmd, *EXPERIMENT, "--kernel", "g", "--shape", shape],
+                   "positive and finite", id=f"{cmd}-shape-{shape}")
+      for cmd in ("bench", "compare-search") for shape in ("nan", "inf", "-1", "0")],
+    *[pytest.param([*FIT, "--shape", shape], "positive and finite",
+                   id=f"fit-shape-{shape}") for shape in ("nan", "inf")],
+    pytest.param(["bench", "--nodes", "halton:343", "--kernel", "g", "--shape", "2",
+                  "--subdomains", "0"], "subdomain_count", id="bench-subdomains-0"),
+    pytest.param(["bench", *EXPERIMENT, "--kernel", "g", "--shape", "2", "--mmax", "0"],
+                 "m_max", id="bench-mmax-0"),
+    pytest.param(["bench", *EXPERIMENT, "--kernel", "g", "--shape", "2",
+                  "--centers", "file:x"], "center source", id="bench-centers-file"),
+    pytest.param(["bench", *EXPERIMENT, "--shape", "2"], "kernel family",
+                 id="bench-no-kernel"),
+    pytest.param([*FIT, "--centers", "file:CENTERS", "--subdomains", "3"],
+                 "2 centers for 3 subdomains", id="fit-centers-mismatch"),
+])
+def test_main_bad_value_is_usage_error(monkeypatch, capsys, tmp_path, argv, fragment):
+    # the library's own check rejects the value, as a usage error, before any
+    # node is generated, any file is read or any solve can warn
+    def no_work(*_):
+        raise AssertionError("work started before the value was checked")
+
+    monkeypatch.setattr(bench, "_nodes_and_values", no_work)
+    centers = tmp_path / "centers.txt"
+    centers.write_text("0.3 0.3 0.3\n0.7 0.7 0.7\n")
+    argv = [a.replace("CENTERS", str(centers)) for a in argv]
+    if "--shape" in argv and argv[0] == "fit":
+        monkeypatch.setattr(cli, "load_point_source", no_work)
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "input error" in err and "finite" in err
+    assert err.startswith("usage error: ") and fragment in err
 
 
 def test_main_unwritable_out_is_io_error(capsys):

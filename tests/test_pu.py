@@ -284,6 +284,9 @@ def test_fit_explicit_centers_validated():
     bad = np.array([[0.5, 0.5, 0.5], [1.2, 0.5, 0.5]])
     with pytest.raises(OutOfDomainError):
         fit(pts, vals, _config(d=2, centers=bad), search="no_cube")
+    # the config itself rejects them, before any fit
+    with pytest.raises(OutOfDomainError, match="subdomain center 1 "):
+        PUConfig(KernelSpec("w4", 0.54), 2, centers=[[.5, .5, .5], [1.2, .5, .5]])
     # the row count must equal d, checked when the config is built
     with pytest.raises(ValueError, match="1 centers for 3 subdomains"):
         PUConfig(KernelSpec("w4", 0.54), 3, centers=[[0.5, 0.5, 0.5]])
